@@ -16,16 +16,17 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import CoordinateMismatch
+from .errors import CoordinateMismatch, NotPositiveDefinite
 from .estimator import (
     BddConfig,
     BddReport,
     FilterState,
     JointEstimate,
+    apply_kalman,
     estimate_input,
     initial_state,
-    predict,
-    update,
+    kalman_gains,
+    skips_update,
 )
 from .model import AreaModel
 
@@ -181,22 +182,23 @@ def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
         return local
     design = np.vstack([np.eye(dim)] + rows)
     observation = np.concatenate([local.x_hat, local.u_hat] + obs)
-    u_local = linalg.symmetrize_psd(local.cov)
+    weight = sla.block_diag(0.5 * (local.cov + local.cov.T), *weights)
     try:
-        np.linalg.cholesky(u_local)
-    except np.linalg.LinAlgError:
-        u_local = u_local + 1e-12 * max(np.trace(u_local), 1.0) * np.eye(dim)
-    weight = sla.block_diag(u_local, *weights)
-    res = linalg.wls_solve(design, weight, observation)
+        res = linalg.wls_solve(design, weight, observation)
+    except NotPositiveDefinite:  # the local covariance lost definiteness
+        u_local = weight[:dim, :dim]
+        weight[:dim, :dim] = linalg.clamp_eigenvalues(u_local, 1e-12 * max(np.trace(u_local), 1.0))
+        res = linalg.wls_solve(design, weight, observation)
     return JointEstimate(
         x_hat=res.estimate[:n], u_hat=res.estimate[n:], cov=res.covariance, step=local.step
     )
 
 
-def finalize_phase(est: AreaEstimator, fused: JointEstimate, z_x_now) -> FilterState:
-    """Predict and update from the fused joint estimate."""
-    x_pred, p_pred = predict(fused, est.state.model)
-    x_hat, p_x = update(x_pred, p_pred, z_x_now, est.state.model)
+def finalize_phase(est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool = False) -> FilterState:
+    """Predict from the fused joint estimate, then update unless the step is held."""
+    model = est.state.model
+    gains = kalman_gains(model, fused.cov)
+    x_hat, p_x = apply_kalman(gains, model, fused, z_x_now, held)
     return replace(est.state, x_hat=x_hat, p_x=p_x, joint=fused, step=est.state.step + 1)
 
 
@@ -289,14 +291,8 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
             checks[neighbor] = check
             accepted.append((msg, check.accept))
         fused = fuse(joint, accepted, est.area)
-        z_u_prev, z_x_now = measurements[aid]
-        if reports[aid].flagged and est.state.bdd.policy == "hold":
-            x_pred, p_pred = predict(fused, est.state.model)
-            new_state = replace(
-                est.state, x_hat=x_pred, p_x=p_pred, joint=fused, step=est.state.step + 1
-            )
-        else:
-            new_state = finalize_phase(est, fused, z_x_now)
+        held = skips_update(reports[aid], est.state.bdd)
+        new_state = finalize_phase(est, fused, measurements[aid][1], held)
         est.state = new_state
         results[aid] = RoundResult(
             state=new_state,

@@ -4,12 +4,16 @@ The per-step cycle is: weighted-least-squares estimation of the previous
 state and input from (previous estimate, previous input measurements,
 current state measurements), Mahalanobis bad-data screening of that
 system's residual, prediction through the discrete model, and a Kalman
-measurement update. The snapshot-WLS and tracking (random-walk) baselines
+measurement update. Every matrix of the cycle depends on the model, P_x
+and the bad-data settings only, so the cycle is split in two:
+``cycle_gains`` computes those matrices and ``dsie_step`` applies them
+to one step's data. The snapshot-WLS and tracking (random-walk) baselines
 used for comparisons live here as well.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +22,7 @@ from scipy.stats import chi2
 
 from . import linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
-from .model import DiscreteModel, stacked_design
+from .model import DiscreteModel, check_joint_rank, stacked_design
 
 _S_CLAMP = 1e-10  # relative eigenvalue floor for residual covariances
 
@@ -49,16 +53,13 @@ class JointEstimate:
         return self.cov[: self.n, : self.n]
 
     @property
-    def p_xu(self):
-        return self.cov[: self.n, self.n :]
-
-    @property
-    def p_ux(self):
-        return self.cov[self.n :, : self.n]
-
-    @property
     def p_u(self):
         return self.cov[self.n :, self.n :]
+
+
+@functools.lru_cache(maxsize=None)
+def _chi2_threshold(alpha: float, dof: int) -> float:
+    return float(np.sqrt(chi2.ppf(1.0 - alpha, dof)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class BddConfig:
             return float(self.zeta)
         if dof < 1:
             return np.inf
-        return float(np.sqrt(chi2.ppf(1.0 - self.alpha, dof)))
+        return _chi2_threshold(self.alpha, dof)
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,6 @@ class BddReport:
     distance: float
     threshold: float
     flagged: bool
-    residual: np.ndarray
-    residual_cov: np.ndarray
     dof: int
     diagonal_fallback: bool = False
 
@@ -113,9 +112,85 @@ def initial_state(model: DiscreteModel, x0, p0, bdd: BddConfig | None = None) ->
     return FilterState(model=model, x_hat=x0, p_x=linalg.symmetrize_psd(p0), bdd=bdd or BddConfig())
 
 
-def _stack_weight(model: DiscreteModel, p_x_prev: np.ndarray) -> np.ndarray:
-    e_x = model.c @ model.q @ model.c.T + model.r_x
-    return sla.block_diag(p_x_prev, model.r_u, e_x)
+@dataclass(frozen=True)
+class WlsGains:
+    """The data-independent part of one WLS estimate and its bad-data screen.
+
+    For an observation z the estimate is ``wls @ z`` with covariance
+    ``cov``, and the Mahalanobis distance of its residual is
+    ``|whiten @ z|``.
+    """
+
+    wls: np.ndarray
+    cov: np.ndarray
+    whiten: np.ndarray
+    dof: int
+    threshold: float
+    diagonal_fallback: bool
+
+
+@dataclass(frozen=True)
+class KalmanGains:
+    """Prediction and measurement update from one joint covariance:
+    x_pred = ab @ [x; u] with covariance ``p_pred``, then
+    x_pred + gain (z_x - C x_pred) with covariance ``p_next``."""
+
+    ab: np.ndarray
+    p_pred: np.ndarray
+    gain: np.ndarray
+    p_next: np.ndarray
+
+
+@dataclass(frozen=True)
+class CycleGains:
+    """Every matrix of one estimation cycle; a function of (model, P_x, bdd)."""
+
+    wls: WlsGains
+    kalman: KalmanGains
+
+
+def _residual_whitener(design, weight, cov):
+    """W with |W r|^2 = r' S^{-1} r for the WLS residual covariance S.
+
+    S = R - O U O' is projected to positive definite by flooring its
+    eigenvalues at 1e-10 * trace, and W is the inverse of its Cholesky
+    factor. If even the projected matrix cannot be factored, W is a
+    diagonal normalization instead. Returns (W, fallback).
+    """
+    s = weight - design @ cov @ design.T
+    floor = _S_CLAMP * max(float(np.trace(s)), np.finfo(float).tiny)
+    s_pd = linalg.clamp_eigenvalues(s, floor)
+    try:
+        factor = np.linalg.cholesky(s_pd)
+    except np.linalg.LinAlgError:
+        return np.diag(1.0 / np.sqrt(np.maximum(np.diag(s_pd), floor))), True
+    return sla.solve_triangular(factor, np.eye(s.shape[0]), lower=True), False
+
+
+def _wls_gains(design, weight, bdd: BddConfig) -> WlsGains:
+    """Gains of the WLS estimate over (design, weight) and of its residual screen."""
+    wls, cov = linalg.wls_map(design, weight)
+    whiten, fallback = _residual_whitener(design, weight, cov)
+    dof = design.shape[0] - design.shape[1]
+    return WlsGains(
+        wls=wls,
+        cov=cov,
+        whiten=whiten @ (np.eye(design.shape[0]) - design @ wls),
+        dof=dof,
+        threshold=bdd.threshold(dof),
+        diagonal_fallback=fallback,
+    )
+
+
+def apply_wls(gains: WlsGains, observations):
+    """Estimates and residual distances of one observation, or of each row."""
+    w = observations @ gains.whiten.T
+    return observations @ gains.wls.T, np.sqrt(np.sum(w * w, axis=-1))
+
+
+def _report(distance, threshold: float, dof: int, fallback: bool) -> BddReport:
+    distance = float(distance)
+    return BddReport(distance, threshold, distance >= threshold, dof, fallback)
 
 
 def detect_bad_data(joint: JointEstimate, observation, design, weight, config: BddConfig) -> BddReport:
@@ -126,31 +201,98 @@ def detect_bad_data(joint: JointEstimate, observation, design, weight, config: B
     1e-10 * trace; if even the projected matrix cannot be factored the
     distance falls back to a diagonal normalization (reported).
     """
-    observation = linalg.as_vector(observation, "observation")
     est = np.concatenate([joint.x_hat, joint.u_hat])
-    residual = observation - design @ est
-    s = weight - design @ joint.cov @ design.T
-    tr = float(np.trace(0.5 * (s + s.T)))
-    floor = _S_CLAMP * max(tr, np.finfo(float).tiny)
-    s_pd = linalg.clamp_eigenvalues(s, floor)
-    fallback = False
-    try:
-        distance = linalg.mahalanobis(residual, s_pd)
-    except NotPositiveDefinite:
-        diag = np.maximum(np.diag(s_pd), floor)
-        distance = float(np.sqrt(np.sum(residual**2 / diag)))
-        fallback = True
+    residual = linalg.as_vector(observation, "observation") - design @ est
+    whiten, fallback = _residual_whitener(design, weight, joint.cov)
+    w = whiten @ residual
     dof = design.shape[0] - design.shape[1]
-    threshold = config.threshold(dof)
-    return BddReport(
-        distance=distance,
-        threshold=threshold,
-        flagged=bool(distance >= threshold),
-        residual=residual,
-        residual_cov=s_pd,
-        dof=dof,
-        diagonal_fallback=fallback,
-    )
+    return _report(np.sqrt(w @ w), config.threshold(dof), dof, fallback)
+
+
+def _joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
+    """WLS gains over the joint design [[I,0],[0,D],[C A_d, C B_d]] with
+    weight diag(P_x, R_u, C Q C' + R_x).
+
+    A P_x that has lost definiteness gets its eigenvalues floored at
+    1e-10 * max(trace, 1) before the one retry.
+    """
+    n, l = model.n, model.l
+    design = stacked_design(model)
+    weight = np.zeros((n + l + model.p,) * 2)
+    weight[:n, :n] = 0.5 * (p_x + p_x.T)
+    weight[n : n + l, n : n + l] = model.r_u
+    weight[n + l :, n + l :] = model.c @ model.q @ model.c.T + model.r_x
+    try:
+        try:
+            return _wls_gains(design, weight, bdd)
+        except NotPositiveDefinite:
+            p = weight[:n, :n]
+            weight[:n, :n] = linalg.clamp_eigenvalues(p, _S_CLAMP * max(np.trace(p), 1.0))
+            return _wls_gains(design, weight, bdd)
+    except RankDeficient as exc:
+        raise RankDeficient(
+            "joint design rank deficient; unobservable inputs: "
+            f"{check_joint_rank(model).unobservable_inputs}",
+            rank=exc.rank,
+        ) from exc
+
+
+def kalman_gains(model: DiscreteModel, cov) -> KalmanGains:
+    """Prediction through the model and the Kalman update for joint covariance ``cov``."""
+    ab = np.hstack([model.a_d, model.b_d])
+    p_pred = linalg.symmetrize_psd(ab @ cov @ ab.T + model.q)
+    return KalmanGains(ab, p_pred, *_update_gain(model, p_pred))
+
+
+def _update_gain(model: DiscreteModel, p_pred):
+    """Kalman gain and updated covariance for prior covariance ``p_pred``."""
+    if model.p == 0:
+        return np.zeros((model.n, 0)), linalg.symmetrize_psd(p_pred)
+    c = model.c
+    s = c @ p_pred @ c.T + model.r_x
+    try:
+        factor = sla.cho_factor(0.5 * (s + s.T), lower=True)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("innovation covariance is not positive definite") from None
+    gain = sla.cho_solve(factor, c @ p_pred).T
+    return gain, linalg.symmetrize_psd((np.eye(model.n) - gain @ c) @ p_pred)
+
+
+def apply_kalman(gains: KalmanGains, model: DiscreteModel, joint: JointEstimate, z_x_now, held: bool):
+    """Predict the joint estimate forward, then update with ``z_x_now``
+    unless the step is held; returns (x_hat, p_x)."""
+    x_pred = gains.ab @ np.concatenate([joint.x_hat, joint.u_hat])
+    if held:
+        return x_pred, gains.p_pred
+    return x_pred + gains.gain @ (z_x_now - model.c @ x_pred), gains.p_next
+
+
+def cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
+    """Every data-independent matrix of one estimation cycle from P_x."""
+    wls = _joint_wls_gains(model, p_x, bdd)
+    return CycleGains(wls=wls, kalman=kalman_gains(model, wls.cov))
+
+
+def skips_update(report: BddReport, bdd: BddConfig) -> bool:
+    """Whether the "hold" policy skips this step's measurement update."""
+    return report.flagged and bdd.policy == "hold"
+
+
+def _observation(state: FilterState, z_u_prev, z_x_now) -> np.ndarray:
+    model = state.model
+    z_u_prev = linalg.as_vector(z_u_prev, "z_u_prev")
+    z_x_now = linalg.as_vector(z_x_now, "z_x_now")
+    if z_u_prev.shape[0] != model.l:
+        raise DimensionMismatch(f"z_u_prev must have length {model.l}, got {z_u_prev.shape[0]}")
+    if z_x_now.shape[0] != model.p:
+        raise DimensionMismatch(f"z_x_now must have length {model.p}, got {z_x_now.shape[0]}")
+    return np.concatenate([state.x_hat, z_u_prev, z_x_now])
+
+
+def _estimate(gains: WlsGains, observation, n: int, step: int = 0) -> tuple[JointEstimate, BddReport]:
+    estimate, distance = apply_wls(gains, observation)
+    joint = JointEstimate(x_hat=estimate[:n], u_hat=estimate[n:], cov=gains.cov, step=step)
+    return joint, _report(distance, gains.threshold, gains.dof, gains.diagonal_fallback)
 
 
 def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate, BddReport]:
@@ -160,81 +302,39 @@ def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate
     current state measurements over the design [[I,0],[0,D],[C A_d, C B_d]]
     with weight diag(P_x, R_u, C Q C' + R_x).
     """
-    model = state.model
-    z_u_prev = linalg.as_vector(z_u_prev, "z_u_prev")
-    z_x_now = linalg.as_vector(z_x_now, "z_x_now")
-    if z_u_prev.shape[0] != model.l:
-        raise DimensionMismatch(f"z_u_prev must have length {model.l}, got {z_u_prev.shape[0]}")
-    if z_x_now.shape[0] != model.p:
-        raise DimensionMismatch(f"z_x_now must have length {model.p}, got {z_x_now.shape[0]}")
-    design = stacked_design(model)
-    p_prev = linalg.symmetrize_psd(state.p_x)
-    try:
-        np.linalg.cholesky(p_prev)
-    except np.linalg.LinAlgError:
-        p_prev = p_prev + _S_CLAMP * max(np.trace(p_prev), 1.0) * np.eye(model.n)
-    weight = _stack_weight(model, p_prev)
-    observation = np.concatenate([state.x_hat, z_u_prev, z_x_now])
-    try:
-        res = linalg.wls_solve(design, weight, observation)
-    except RankDeficient as exc:
-        report = check_rank_message(model)
-        raise RankDeficient(
-            f"joint design rank deficient; unobservable inputs: {report}", rank=exc.rank
-        ) from exc
-    joint = JointEstimate(
-        x_hat=res.estimate[: model.n],
-        u_hat=res.estimate[model.n :],
-        cov=res.covariance,
-        step=state.step,
-    )
-    report = detect_bad_data(joint, observation, design, weight, state.bdd)
-    return joint, report
-
-
-def check_rank_message(model: DiscreteModel) -> tuple[str, ...]:
-    from .model import check_joint_rank
-
-    return check_joint_rank(model).unobservable_inputs
+    observation = _observation(state, z_u_prev, z_x_now)
+    gains = _joint_wls_gains(state.model, state.p_x, state.bdd)
+    return _estimate(gains, observation, state.model.n, state.step)
 
 
 def predict(joint: JointEstimate, model: DiscreteModel):
     """Propagate the joint estimate one step: x = A_d x + B_d u."""
-    ab = np.hstack([model.a_d, model.b_d])
-    x_pred = ab @ np.concatenate([joint.x_hat, joint.u_hat])
-    p_pred = linalg.symmetrize_psd(ab @ joint.cov @ ab.T + model.q)
-    return x_pred, p_pred
+    gains = kalman_gains(model, joint.cov)
+    return gains.ab @ np.concatenate([joint.x_hat, joint.u_hat]), gains.p_pred
 
 
 def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
     """Standard Kalman measurement update; returns (x_hat, p_x)."""
     x_pred = linalg.as_vector(x_pred, "x_pred")
-    if model.p == 0:
-        return x_pred, linalg.symmetrize_psd(p_pred)
-    c = model.c
-    s = c @ p_pred @ c.T + model.r_x
-    try:
-        factor = sla.cho_factor(0.5 * (s + s.T), lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("innovation covariance is not positive definite") from None
-    gain = sla.cho_solve(factor, c @ p_pred).T
-    x_hat = x_pred + gain @ (z_x_now - c @ x_pred)
-    p_x = linalg.symmetrize_psd((np.eye(model.n) - gain @ c) @ p_pred)
-    return x_hat, p_x
+    gain, p_x = _update_gain(model, p_pred)
+    return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
 
 
-def dsie_step(state: FilterState, z_u_prev, z_x_now):
+def dsie_step(state: FilterState, z_u_prev, z_x_now, gains: CycleGains | None = None):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
-    With the "hold" policy a flagged step skips the measurement update and
-    carries the prediction forward; "alert-only" (default) always updates.
+    ``gains`` are the cycle's matrices at ``state.p_x`` (``cycle_gains``);
+    they are computed here when not given. With the "hold" policy a
+    flagged step skips the measurement update and carries the prediction
+    forward; "alert-only" (default) always updates.
     """
-    joint, report = estimate_input(state, z_u_prev, z_x_now)
-    x_pred, p_pred = predict(joint, state.model)
-    if report.flagged and state.bdd.policy == "hold":
-        x_hat, p_x = x_pred, p_pred
-    else:
-        x_hat, p_x = update(x_pred, p_pred, z_x_now, state.model)
+    if gains is None:
+        gains = cycle_gains(state.model, state.p_x, state.bdd)
+    model = state.model
+    observation = _observation(state, z_u_prev, z_x_now)
+    joint, report = _estimate(gains.wls, observation, model.n, state.step)
+    z_x_now = observation[model.n + model.l :]
+    x_hat, p_x = apply_kalman(gains.kalman, model, joint, z_x_now, skips_update(report, state.bdd))
     next_state = replace(state, x_hat=x_hat, p_x=p_x, joint=joint, step=state.step + 1)
     return next_state, joint, report
 
@@ -247,18 +347,18 @@ class SnapshotResult:
     bdd: BddReport
 
 
+def snapshot_gains(model: DiscreteModel, bdd: BddConfig) -> WlsGains:
+    """Gains of static single-time WLS over stacked (z_x, z_u)."""
+    h = sla.block_diag(model.c, model.d)
+    return _wls_gains(h, sla.block_diag(model.r_x, model.r_u), bdd)
+
+
 def wls_snapshot(z_x, z_u, model: DiscreteModel, bdd: BddConfig | None = None) -> SnapshotResult:
     """Static single-time WLS over stacked (z_x, z_u); no temporal information."""
-    bdd = bdd or BddConfig()
-    h = sla.block_diag(model.c, model.d)
-    weight = sla.block_diag(model.r_x, model.r_u)
+    gains = snapshot_gains(model, bdd or BddConfig())
     observation = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
-    res = linalg.wls_solve(h, weight, observation)
-    joint = JointEstimate(
-        x_hat=res.estimate[: model.n], u_hat=res.estimate[model.n :], cov=res.covariance
-    )
-    report = detect_bad_data(joint, observation, h, weight, bdd)
-    return SnapshotResult(x_hat=joint.x_hat, u_hat=joint.u_hat, cov=res.covariance, bdd=report)
+    joint, report = _estimate(gains, observation, model.n)
+    return SnapshotResult(x_hat=joint.x_hat, u_hat=joint.u_hat, cov=joint.cov, bdd=report)
 
 
 @dataclass(frozen=True)
@@ -315,13 +415,5 @@ def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddCon
     p = linalg.symmetrize_psd((np.eye(dim) - gain @ h) @ p_pred)
     distance = linalg.mahalanobis(innovation, s)
     dof = h.shape[0]
-    threshold = bdd.threshold(dof)
-    report = BddReport(
-        distance=distance,
-        threshold=threshold,
-        flagged=bool(distance >= threshold),
-        residual=innovation,
-        residual_cov=s,
-        dof=dof,
-    )
+    report = _report(distance, bdd.threshold(dof), dof, False)
     return TseState(y_hat=y_hat, p=p, step=state.step + 1), report

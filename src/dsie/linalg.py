@@ -92,6 +92,30 @@ def _cholesky_or_raise(r, name):
         raise NotPositiveDefinite(f"{name} is not positive definite") from None
 
 
+def _whitened_qr(h, r):
+    """Whiten H by the Cholesky factor L of R and QR-factor it.
+
+    Returns (L, Q, R_qr^{-1}, covariance), where covariance = (H'R^{-1}H)^{-1}.
+    """
+    q, p = h.shape
+    if r.shape != (q, q):
+        raise DimensionMismatch(f"R must be {q}x{q}, got {r.shape}")
+    if q < p:
+        raise RankDeficient(f"underdetermined system: {q} rows < {p} unknowns", rank=q)
+    l = _cholesky_or_raise(r, "R")
+    qf, rf = np.linalg.qr(sla.solve_triangular(l, h, lower=True))
+    diag = np.abs(np.diag(rf))
+    tol = max(q, p) * _EPS * (diag.max() if diag.size else 0.0)
+    if diag.size == 0 or np.any(diag <= tol):
+        bad = [int(i) for i in np.nonzero(diag <= tol)[0]]
+        raise RankDeficient(
+            f"H has column rank < {p}", rank=int(np.sum(diag > tol)), deficient_columns=bad
+        )
+    rinv = sla.solve_triangular(rf, np.eye(p))
+    covariance = rinv @ rinv.T
+    return l, qf, rinv, 0.5 * (covariance + covariance.T)
+
+
 def wls_solve(h, r, z) -> WlsResult:
     """Solve min_x (z - Hx)' R^{-1} (z - Hx) for x and its covariance.
 
@@ -101,32 +125,24 @@ def wls_solve(h, r, z) -> WlsResult:
     estimate = (H'R^{-1}H)^{-1} H'R^{-1} z and covariance = (H'R^{-1}H)^{-1}.
     """
     h = as_matrix(h, "H")
-    r = as_matrix(r, "R")
     z = as_vector(z, "z")
-    q, p = h.shape
-    if r.shape != (q, q):
-        raise DimensionMismatch(f"R must be {q}x{q}, got {r.shape}")
-    if z.shape[0] != q:
-        raise DimensionMismatch(f"z must have length {q}, got {z.shape[0]}")
-    if q < p:
-        raise RankDeficient(f"underdetermined system: {q} rows < {p} unknowns", rank=q)
+    if z.shape[0] != h.shape[0]:
+        raise DimensionMismatch(f"z must have length {h.shape[0]}, got {z.shape[0]}")
+    l, qf, rinv, covariance = _whitened_qr(h, as_matrix(r, "R"))
+    estimate = rinv @ (qf.T @ sla.solve_triangular(l, z, lower=True))
+    return WlsResult(estimate=estimate, covariance=covariance)
 
-    l = _cholesky_or_raise(r, "R")
-    hw = sla.solve_triangular(l, h, lower=True)
-    zw = sla.solve_triangular(l, z, lower=True)
 
-    qf, rf = np.linalg.qr(hw)
-    diag = np.abs(np.diag(rf))
-    tol = max(q, p) * _EPS * (diag.max() if diag.size else 0.0)
-    if diag.size == 0 or np.any(diag <= tol):
-        bad = [int(i) for i in np.nonzero(diag <= tol)[0]]
-        raise RankDeficient(
-            f"H has column rank < {p}", rank=int(np.sum(diag > tol)), deficient_columns=bad
-        )
-    estimate = sla.solve_triangular(rf, qf.T @ zw)
-    rinv = sla.solve_triangular(rf, np.eye(p))
-    covariance = rinv @ rinv.T
-    return WlsResult(estimate=estimate, covariance=0.5 * (covariance + covariance.T))
+def wls_map(h, r) -> tuple[np.ndarray, np.ndarray]:
+    """The WLS estimate as a linear map: (G, covariance) with estimate = G z.
+
+    Same factorization as ``wls_solve``, so ``G @ z`` is its estimate, up
+    to rounding, for every z; G = (H'R^{-1}H)^{-1} H'R^{-1}.
+    """
+    h = as_matrix(h, "H")
+    l, qf, rinv, covariance = _whitened_qr(h, as_matrix(r, "R"))
+    linv = sla.solve_triangular(l, np.eye(h.shape[0]), lower=True)
+    return rinv @ (qf.T @ linv), covariance
 
 
 def mahalanobis(r, s) -> float:

@@ -34,12 +34,15 @@ def detection_latency_steps(flags, onset_step: int) -> int | None:
 
 
 def false_alarm_rate(flags, attack_windows, times) -> float:
-    """Fraction of alarm flags raised outside every attack window."""
+    """Fraction of alarm flags raised outside every attack window.
+
+    A window covers start <= t < end, the steps ``sim.apply_attacks`` attacks.
+    """
     flags = np.asarray(flags, dtype=bool)
     times = np.asarray(times, dtype=float)[: flags.shape[0]]
     outside = np.ones_like(flags, dtype=bool)
     for start, end in attack_windows:
-        outside &= ~((times >= start - 1e-12) & (times < end + 1e-12))
+        outside &= ~((times >= start - 1e-12) & (times < end - 1e-12))
     total = int(outside.sum())
     if total == 0:
         return 0.0

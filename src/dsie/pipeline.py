@@ -16,17 +16,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .distributed import LossyTransport, Transport, make_area_estimator, run_round
+from .errors import SingularAtSteadyState
 from .estimator import (
     BddConfig,
+    apply_wls,
+    cycle_gains,
     dsie_step,
     initial_state,
     initial_tse_state,
+    snapshot_gains,
     tse_step,
-    wls_snapshot,
 )
 from .metrics import false_alarm_rate, mean_mse, mse_per_variable
-from .model import build_continuous, build_discrete, check_joint_rank, partition
+from .model import (
+    ContinuousModel,
+    DiscreteModel,
+    build_continuous,
+    build_discrete,
+    check_joint_rank,
+    partition,
+)
 from .network import NetworkTopology
 from .sim import (
     Scenario,
@@ -47,8 +58,8 @@ REPORT_SCHEMA_VERSION = 1
 class Prepared:
     """Scenario-resolved model set: nominals, noise levels, matrices."""
 
-    continuous: object
-    model: object
+    continuous: ContinuousModel
+    model: DiscreteModel
     x_nominal: np.ndarray
     u_nominal: np.ndarray
     process_std: np.ndarray
@@ -62,7 +73,7 @@ def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
     u0 = u[0]
     try:
         x_steady = steady_state(continuous, u0)
-    except Exception:
+    except SingularAtSteadyState:
         x_steady = np.zeros(continuous.n)
     x_nominal = nominal_magnitudes(x_steady)
     u_nominal = nominal_magnitudes(u0)
@@ -119,10 +130,22 @@ def _initial_cov(scenario: Scenario, nominal):
     return np.diag(scenario.p0_scale * nominal**2)
 
 
+def _settled(p_next, p_x) -> bool:
+    """Whether one cycle left P_x unchanged to a relative 1e-14."""
+    return float(np.max(np.abs(p_next - p_x))) <= 1e-14 * float(np.max(np.abs(p_x)))
+
+
 def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
+    """Centralized cycle over the run.
+
+    The cycle gains are recomputed only while P_x still changes: once a
+    cycle leaves P_x unchanged (``_settled``), the same gains serve every
+    later step, until a held step moves P_x to the prediction again.
+    """
     steps = z_x.shape[0] - 1
     bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
     state = initial_state(model, x0_est, p0, bdd)
+    gains = None
     x_est = np.zeros((steps + 1, model.n))
     u_est = np.zeros((steps + 1, model.m))
     mahal = np.zeros(steps + 1)
@@ -130,7 +153,12 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
     flags = np.zeros(steps + 1, dtype=bool)
     x_est[0] = x0_est
     for k in range(1, steps + 1):
-        state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
+        if gains is None:
+            gains = cycle_gains(model, state.p_x, bdd)
+        p_x = state.p_x
+        state, joint, report = dsie_step(state, z_u[k - 1], z_x[k], gains)
+        if not _settled(state.p_x, p_x):
+            gains = None
         x_est[k] = state.x_hat
         u_est[k - 1] = joint.u_hat
         mahal[k] = report.distance
@@ -141,21 +169,18 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
 
 
 def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
-    steps = z_x.shape[0] - 1
+    """Snapshot WLS at every step: one set of gains, applied to all rows at once."""
     bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
-    x_est = np.zeros((steps + 1, model.n))
-    u_est = np.zeros((steps + 1, model.m))
-    mahal = np.zeros(steps + 1)
-    thresholds = np.zeros(steps + 1)
-    flags = np.zeros(steps + 1, dtype=bool)
-    for k in range(steps + 1):
-        res = wls_snapshot(z_x[k], z_u[k], model, bdd)
-        x_est[k] = res.x_hat
-        u_est[k] = res.u_hat
-        mahal[k] = res.bdd.distance
-        thresholds[k] = res.bdd.threshold
-        flags[k] = res.bdd.flagged
-    return MethodRun("wls", x_est, u_est, mahal, thresholds, flags)
+    gains = snapshot_gains(model, bdd)
+    estimates, mahal = apply_wls(gains, linalg.as_matrix(np.hstack([z_x, z_u]), "measurements"))
+    return MethodRun(
+        "wls",
+        estimates[:, : model.n],
+        estimates[:, model.n :],
+        mahal,
+        np.full(mahal.shape, gains.threshold),
+        mahal >= gains.threshold,
+    )
 
 
 def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked) -> MethodRun:

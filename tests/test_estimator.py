@@ -1,5 +1,7 @@
 """Estimator cycle tests: joint WLS, bad-data gate, predict/update, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -18,11 +20,20 @@ from dsie.estimator import (
     update,
     wls_snapshot,
 )
+from dsie import pipeline
 from dsie.errors import DimensionMismatch, RankDeficient
 from dsie.model import DiscreteModel, build_continuous, build_discrete, stacked_design
-from dsie.sim import craft_stealthy_attack
+from dsie.network import load_network
+from dsie.sim import (
+    apply_attacks,
+    craft_stealthy_attack,
+    generate_measurements,
+    load_scenario,
+    rng_for,
+    simulate_truth,
+)
 
-from conftest import make_cap_bus_topology, random_spd
+from conftest import bundled_network_path, bundled_scenario_path, make_cap_bus_topology, random_spd
 
 
 def small_model(state_std=0.1, input_std=0.1, process_std=0.05):
@@ -523,3 +534,92 @@ class TestInnovationConsistency:
         empirical = np.var(np.asarray(innovations), axis=0)
         assert np.all(empirical <= 1.05 * variances)
         assert np.all(empirical >= 0.1 * variances)
+
+
+def scenario_streams(name, **changes):
+    """(scenario, model, z_x, z_u, x0, p0) of a bundled scenario, built as run_scenario does."""
+    scenario = dataclasses.replace(load_scenario(bundled_scenario_path(name)), **changes)
+    prepared = pipeline.prepare(load_network(bundled_network_path(scenario.network)), scenario)
+    truth = simulate_truth(prepared.continuous, scenario, process_std=prepared.process_std)
+    z_x, z_u = generate_measurements(truth, prepared.model, rng_for(scenario.seed, "meas"))
+    z_x, z_u = apply_attacks(z_x, z_u, scenario.attacks, prepared.model, truth.times)
+    x0 = prepared.x_steady + scenario.estimate_offset_fraction * prepared.x_nominal
+    p0 = np.diag(scenario.p0_scale * prepared.x_nominal**2)
+    return scenario, prepared.model, z_x, z_u, x0, p0
+
+
+def assert_series_close(actual, expected, rel=1e-12):
+    """Agreement to ``rel`` of the series' largest magnitude."""
+    expected = np.asarray(expected)
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestGainsReuse:
+    """The fast paths in the pipeline against the per-step cycle."""
+
+    @pytest.mark.parametrize(
+        "name, changes",
+        [
+            ("fixture4_load_change", {}),
+            ("fixture4_attack", {}),
+            ("example13_load_change", {}),
+            ("fixture4_load_change", {"bdd_policy": "hold", "bdd_zeta": 6.0}),
+            ("fixture4_attack", {"bdd_policy": "hold", "bdd_zeta": 5.0}),
+        ],
+    )
+    def test_run_dsie_matches_the_step_loop(self, name, changes):
+        scenario, model, z_x, z_u, x0, p0 = scenario_streams(name, **changes)
+        run = pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)
+        bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
+        state = initial_state(model, x0, p0, bdd)
+        x, u, distance, flags = [x0], [], [0.0], [False]
+        for k in range(1, z_x.shape[0]):
+            state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
+            x.append(state.x_hat)
+            u.append(joint.u_hat)
+            distance.append(report.distance)
+            flags.append(report.flagged)
+        assert_series_close(run.x_est, x)
+        assert_series_close(run.u_est[:-1], u)
+        assert_series_close(run.mahalanobis, distance)
+        np.testing.assert_array_equal(run.flags, flags)
+        if scenario.bdd_policy == "hold":
+            assert 0 < run.flags.sum() < len(flags) - 1  # some steps held, some updated
+
+    @pytest.mark.parametrize(
+        "name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
+    )
+    def test_run_wls_matches_row_by_row_snapshots(self, name):
+        scenario, model, z_x, z_u, _, _ = scenario_streams(name)
+        run = pipeline.run_wls(model, z_x, z_u, scenario)
+        bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
+        rows = [wls_snapshot(z_x[k], z_u[k], model, bdd) for k in range(z_x.shape[0])]
+        assert_series_close(run.x_est, [r.x_hat for r in rows])
+        assert_series_close(run.u_est, [r.u_hat for r in rows])
+        assert_series_close(run.mahalanobis, [r.bdd.distance for r in rows])
+        np.testing.assert_array_equal(run.flags, [r.bdd.flagged for r in rows])
+        np.testing.assert_array_equal(run.thresholds, [r.bdd.threshold for r in rows])
+
+    def test_gains_are_recomputed_only_until_p_x_settles(self, monkeypatch):
+        calls = []
+        gains = pipeline.cycle_gains
+
+        def counted(*args):
+            calls.append(1)
+            return gains(*args)
+
+        monkeypatch.setattr(pipeline, "cycle_gains", counted)
+        scenario, model, z_x, z_u, x0, p0 = scenario_streams(
+            "fixture4_load_change", duration=0.2, load_events=()
+        )
+        pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)
+        settled = len(calls)
+        assert z_x.shape[0] - 1 == 200
+        assert settled <= 20  # P_x reaches its fixed point in about 14 cycles
+
+        # A held step sets P_x to the prediction, which restarts the recomputation.
+        calls.clear()
+        hold = dataclasses.replace(scenario, bdd_policy="hold", bdd_zeta=5.0)
+        held = int(pipeline.run_dsie(model, z_x, z_u, hold, x0, p0).flags.sum())
+        assert held > 0
+        assert settled + held <= len(calls) < 200

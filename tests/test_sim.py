@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dsie.errors import InputFileError, SingularAtSteadyState, UnreachableSupport, WindowOutOfRange
+from dsie.metrics import false_alarm_rate
 from dsie.model import build_continuous, build_discrete
 from dsie.sim import (
     AttackSpec,
@@ -302,6 +303,20 @@ class TestApplyAttacks:
         z_x, _ = apply_attacks(self.z_x, self.z_u, [spec], self.model, self.truth.times)
         inside = (self.truth.times >= 0.02) & (self.truth.times < 0.04)
         np.testing.assert_allclose(z_x[inside] - self.z_x[inside], [[5.0, -5.0]] * inside.sum())
+
+    def test_false_alarm_window_is_the_attacked_window(self):
+        spec = AttackSpec(0.02, 0.04, "state", "additive", ("v_b1",), values=((5.0, -5.0),))
+        z_x, _ = apply_attacks(self.z_x, self.z_u, [spec], self.model, self.truth.times)
+        attacked = np.any(z_x != self.z_x, axis=1)
+        at_end = int(np.argmin(np.abs(self.truth.times - 0.04)))
+        assert attacked[at_end - 1] and not attacked[at_end]
+        windows = [(spec.start, spec.end)]
+        assert false_alarm_rate(attacked, windows, self.truth.times) == 0.0
+        # An alarm at exactly t = end is raised on clean data: a false alarm.
+        flags = np.zeros_like(attacked)
+        flags[at_end] = True
+        outside = int(np.sum(~attacked))
+        assert false_alarm_rate(flags, windows, self.truth.times) == pytest.approx(1 / outside)
 
     def test_disjoint_windows_compose(self):
         a = AttackSpec(0.01, 0.02, "state", "additive", ("v_b1",), values=((1.0, 0.0),))
