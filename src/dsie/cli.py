@@ -19,6 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DsieError, InputFileError
+from .metrics import detection_latency_steps
 from .model import build_discrete, check_joint_rank, partition
 from .network import load_network
 from .pipeline import run_scenario, write_outputs
@@ -224,14 +225,13 @@ def _detection_stats(report: dict, method: str) -> dict:
     entry = report["methods"][method]
     scenario = report["scenario"]
     t_s = scenario["t_s"]
-    flags = set(entry.get("flags", []))
-    latencies = []
-    for attack in scenario.get("attacks", []):
-        onset = int(round(attack["start"] / t_s))
-        end = int(round(attack["end"] / t_s))
-        hit = [k for k in flags if k >= onset]
-        latencies.append(min(hit) - onset if hit else None)
-        del end
+    flagged = entry.get("flags", [])
+    flags = np.zeros(max(flagged, default=-1) + 1, dtype=bool)
+    flags[flagged] = True
+    latencies = [
+        detection_latency_steps(flags, int(round(attack["start"] / t_s)))
+        for attack in scenario.get("attacks", [])
+    ]
     return {
         "false_alarm_rate": entry.get("false_alarm_rate", 0.0),
         "detection_latency_steps": latencies,

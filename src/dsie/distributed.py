@@ -3,9 +3,11 @@
 Each round: every area runs its local joint estimation, extracts shared-input
 estimates into messages for its neighbors, the transport delivers (or drops)
 them, and each area cross-checks incoming estimates, fuses the accepted
-coordinates as extra WLS measurements, and finishes with predict/update.
+coordinates as extra measurements, and finishes with predict/update.
 A missing or rejected message degrades to local-only estimation for that
-neighbor; nothing aborts the round.
+neighbor; nothing aborts the round. An area reuses its local WLS gains
+while its P_x is settled, and its fusion and Kalman gains while the
+fusion inputs are also those of the last round.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ from .errors import CoordinateMismatch, NotPositiveDefinite
 from .estimator import (
     BddConfig,
     BddReport,
+    CycleGains,
     FilterState,
     JointEstimate,
+    KalmanGains,
+    advance,
     apply_kalman,
     estimate_input,
     initial_state,
+    joint_wls_gains,
     kalman_gains,
     skips_update,
 )
@@ -84,11 +90,16 @@ class CrossCheckReport:
 
 @dataclass
 class AreaEstimator:
-    """Single-owner estimator for one area."""
+    """Single-owner estimator for one area.
+
+    ``fusion`` is the last round's fusion inputs with the ``FusionGains``
+    they gave (None when nothing was fused); see ``run_round``.
+    """
 
     area: AreaModel
     state: FilterState
     kappa: float = 3.0
+    fusion: tuple | None = None
 
     @property
     def area_id(self) -> str:
@@ -100,8 +111,16 @@ def make_area_estimator(area: AreaModel, x0, p0, bdd: BddConfig | None = None, k
 
 
 def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
-    """Run the local joint estimation and build one message per neighbor."""
-    joint, report = estimate_input(est.state, z_u_prev, z_x_now)
+    """Run the local joint estimation and build one message per neighbor.
+
+    It uses the WLS gains the state carries; a state that carries none
+    gets them computed at its P_x and keeps them for the rest of the round.
+    """
+    state = est.state
+    if state.gains is None:
+        wls = joint_wls_gains(state.model, state.p_x, state.bdd)
+        est.state = state = replace(state, gains=CycleGains(wls, None))
+    joint, report = estimate_input(state, z_u_prev, z_x_now)
     messages = {}
     n = est.area.model.n
     for neighbor in est.area.neighbors:
@@ -153,53 +172,124 @@ def cross_check(local: JointEstimate, msg: ShareMessage, area: AreaModel, kappa:
     )
 
 
-def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
-    """Fold accepted neighbor estimates in as extra WLS measurements.
+@dataclass(frozen=True)
+class FusionGains:
+    """Fusion of neighbor values z of the stacked (x, u) coordinates
+    ``idx``: fused = y + gain (z - y[idx]) with covariance ``cov``."""
 
-    ``accepted`` is a list of (ShareMessage, accept mask). The stacked
-    system has the local joint estimate with weight U and, per message,
-    the accepted shared coordinates with the neighbor's marginal
-    covariance block. With no accepted coordinates the local estimate is
-    returned unchanged.
+    idx: list[int]
+    gain: np.ndarray
+    cov: np.ndarray
+
+
+def _innovation_gains(u, idx, p_nb) -> FusionGains:
+    u_idx = u[idx, :]
+    s = u_idx[:, idx] + p_nb
+    try:
+        factor = sla.cho_factor(0.5 * (s + s.T), lower=True)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("fusion innovation covariance is not positive definite") from None
+    gain = sla.cho_solve(factor, u_idx).T
+    cov = u - gain @ u_idx
+    return FusionGains(idx=idx, gain=gain, cov=0.5 * (cov + cov.T))
+
+
+def fusion_gains(cov, idx, p_nb) -> FusionGains:
+    """Gains of fusing measurements of the coordinates ``idx``, with noise
+    covariance ``p_nb``, into an estimate with covariance U = ``cov``.
+
+    With S = U[idx, idx] + p_nb and K = U[:, idx] S^-1 the fused covariance
+    is U - K U[idx, :], the same as the stacked WLS solution, from one
+    k x k factorization for k fused coordinates. If S cannot be factored,
+    U's eigenvalues are floored at 1e-12 * max(trace, 1) before the one
+    retry.
     """
-    rows = []
-    obs = []
-    weights = []
-    n, m = local.n, local.m
-    dim = n + m
+    u = 0.5 * (cov + cov.T)
+    try:
+        return _innovation_gains(u, idx, p_nb)
+    except NotPositiveDefinite:  # the local covariance lost definiteness
+        u = linalg.clamp_eigenvalues(u, 1e-12 * max(np.trace(u), 1.0))
+        return _innovation_gains(u, idx, p_nb)
+
+
+def apply_fusion(gains: FusionGains, local: JointEstimate, z) -> JointEstimate:
+    y = np.concatenate([local.x_hat, local.u_hat])
+    fused = y + gains.gain @ (z - y[gains.idx])
+    n = local.n
+    return JointEstimate(x_hat=fused[:n], u_hat=fused[n:], cov=gains.cov, step=local.step)
+
+
+def _fusion_inputs(accepted, area: AreaModel, n: int):
+    """(idx, z, p_nb) of the accepted coordinates: the stacked (x, u)
+    positions they measure, the neighbors' values, and the block diagonal
+    of the neighbors' covariance blocks."""
+    idx, values, blocks = [], [], []
     for msg, mask in accepted:
         pairs = area.shared_inputs[msg.sender]
         keep = [i for i, ok in enumerate(mask) if ok]
-        if not keep:
-            continue
-        t = np.zeros((len(keep), dim))
-        for r, i in enumerate(keep):
-            t[r, n + pairs[i][0]] = 1.0
-        rows.append(t)
-        obs.append(msg.u_shared[keep])
-        weights.append(msg.p_shared[np.ix_(keep, keep)])
-    if not rows:
+        idx.extend(n + pairs[i][0] for i in keep)
+        values.append(msg.u_shared[keep])
+        blocks.append(msg.p_shared[np.ix_(keep, keep)])
+    p_nb = np.zeros((len(idx), len(idx)))
+    at = 0
+    for block in blocks:
+        k = block.shape[0]
+        p_nb[at : at + k, at : at + k] = block
+        at += k
+    return idx, np.concatenate(values) if values else np.zeros(0), p_nb
+
+
+def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
+    """Fold accepted neighbor estimates in as extra measurements.
+
+    ``accepted`` is a list of (ShareMessage, accept mask). Each accepted
+    shared coordinate measures the local one with the neighbor's marginal
+    covariance block as noise (``fusion_gains``). With no accepted
+    coordinates the local estimate is returned unchanged.
+    """
+    idx, z, p_nb = _fusion_inputs(accepted, area, local.n)
+    if not idx:
         return local
-    design = np.vstack([np.eye(dim)] + rows)
-    observation = np.concatenate([local.x_hat, local.u_hat] + obs)
-    weight = sla.block_diag(0.5 * (local.cov + local.cov.T), *weights)
-    try:
-        res = linalg.wls_solve(design, weight, observation)
-    except NotPositiveDefinite:  # the local covariance lost definiteness
-        u_local = weight[:dim, :dim]
-        weight[:dim, :dim] = linalg.clamp_eigenvalues(u_local, 1e-12 * max(np.trace(u_local), 1.0))
-        res = linalg.wls_solve(design, weight, observation)
-    return JointEstimate(
-        x_hat=res.estimate[:n], u_hat=res.estimate[n:], cov=res.covariance, step=local.step
-    )
+    return apply_fusion(fusion_gains(local.cov, idx, p_nb), local, z)
 
 
-def finalize_phase(est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool = False) -> FilterState:
-    """Predict from the fused joint estimate, then update unless the step is held."""
-    model = est.state.model
-    gains = kalman_gains(model, fused.cov)
-    x_hat, p_x = apply_kalman(gains, model, fused, z_x_now, held)
-    return replace(est.state, x_hat=x_hat, p_x=p_x, joint=fused, step=est.state.step + 1)
+def _fuse_reusing(est: AreaEstimator, local: JointEstimate, accepted, held: bool):
+    """``fuse`` for ``run_round``: reuses the last round's gains while the
+    fusion inputs repeat.
+
+    The inputs are the local WLS gains, the accepted coordinates, the
+    neighbors' covariance blocks (bit for bit) and the held flag. The local
+    WLS gains are the last round's exactly when the state still carries
+    that round's Kalman gains, since ``local_phase`` leaves the Kalman half
+    None when it computes new ones. Returns (fused, the Kalman gains of its
+    covariance, or None when they must be computed).
+    """
+    idx, z, p_nb = _fusion_inputs(accepted, est.area, local.n)
+    key = (tuple(idx), p_nb.tobytes(), held)
+    kalman = est.state.gains.kalman
+    if kalman is None or est.fusion is None or est.fusion[0] != key:
+        est.fusion = (key, fusion_gains(local.cov, idx, p_nb) if idx else None)
+        kalman = None
+    gains = est.fusion[1]
+    return (local if gains is None else apply_fusion(gains, local, z)), kalman
+
+
+def finalize_phase(
+    est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool = False,
+    kalman: KalmanGains | None = None,
+) -> FilterState:
+    """Predict from the fused joint estimate, then update unless the step is held.
+
+    ``kalman`` are the Kalman gains of ``fused.cov``; they are computed here
+    when not given. The next state carries the local WLS gains and these
+    Kalman gains on while the round leaves P_x settled.
+    """
+    state = est.state
+    if kalman is None:
+        kalman = kalman_gains(state.model, fused.cov)
+    x_hat, p_x = apply_kalman(kalman, state.model, fused, z_x_now, held)
+    gains = None if state.gains is None else CycleGains(state.gains.wls, kalman)
+    return advance(state, gains, x_hat, p_x, fused)
 
 
 class Transport:
@@ -290,9 +380,9 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
             check = cross_check(joint, msg, est.area, est.kappa)
             checks[neighbor] = check
             accepted.append((msg, check.accept))
-        fused = fuse(joint, accepted, est.area)
         held = skips_update(reports[aid], est.state.bdd)
-        new_state = finalize_phase(est, fused, measurements[aid][1], held)
+        fused, kalman = _fuse_reusing(est, joint, accepted, held)
+        new_state = finalize_phase(est, fused, measurements[aid][1], held, kalman)
         est.state = new_state
         results[aid] = RoundResult(
             state=new_state,

@@ -62,10 +62,6 @@ class SingularAtSteadyState(DsieError):
     """Steady-state initialization requested but the state matrix is singular."""
 
 
-class IncompatibleRuns(DsieError):
-    """Run reports being compared come from different scenarios."""
-
-
 class InputFileError(DsieError):
     """A network or scenario file failed validation.
 

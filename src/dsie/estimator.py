@@ -7,8 +7,10 @@ system's residual, prediction through the discrete model, and a Kalman
 measurement update. Every matrix of the cycle depends on the model, P_x
 and the bad-data settings only, so the cycle is split in two:
 ``cycle_gains`` computes those matrices and ``dsie_step`` applies them
-to one step's data. The snapshot-WLS and tracking (random-walk) baselines
-used for comparisons live here as well.
+to one step's data. A filter state carries its gains on while a cycle
+leaves P_x unchanged (``settled``), so a settled filter stops computing
+them. The snapshot-WLS and tracking (random-walk) baselines used for
+comparisons live here as well; the tracking filter is split the same way.
 """
 
 from __future__ import annotations
@@ -90,7 +92,12 @@ class BddReport:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Single-owner filter recursion carrier; advanced by dsie_step."""
+    """Single-owner filter recursion carrier; advanced by dsie_step.
+
+    ``gains`` are the gains of the last cycle, carried while that cycle
+    left P_x settled, so they are valid at ``p_x``; None makes the next
+    cycle compute them.
+    """
 
     model: DiscreteModel
     x_hat: np.ndarray
@@ -98,6 +105,7 @@ class FilterState:
     bdd: BddConfig = field(default_factory=BddConfig)
     joint: JointEstimate | None = None
     step: int = 0
+    gains: CycleGains | None = None
 
 
 def initial_state(model: DiscreteModel, x0, p0, bdd: BddConfig | None = None) -> FilterState:
@@ -143,10 +151,20 @@ class KalmanGains:
 
 @dataclass(frozen=True)
 class CycleGains:
-    """Every matrix of one estimation cycle; a function of (model, P_x, bdd)."""
+    """Every matrix of one estimation cycle; a function of (model, P_x, bdd).
+
+    In the per-area cycle the Kalman half is taken from the fused
+    covariance, so it also depends on the fusion inputs; it is None there
+    until the round has fused (see ``distributed.run_round``).
+    """
 
     wls: WlsGains
-    kalman: KalmanGains
+    kalman: KalmanGains | None
+
+
+def settled(p_next, p) -> bool:
+    """Whether one cycle left the covariance P unchanged to a relative 1e-14."""
+    return float(np.max(np.abs(p_next - p))) <= 1e-14 * float(np.max(np.abs(p)))
 
 
 def _residual_whitener(design, weight, cov):
@@ -209,7 +227,7 @@ def detect_bad_data(joint: JointEstimate, observation, design, weight, config: B
     return _report(np.sqrt(w @ w), config.threshold(dof), dof, fallback)
 
 
-def _joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
+def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
     """WLS gains over the joint design [[I,0],[0,D],[C A_d, C B_d]] with
     weight diag(P_x, R_u, C Q C' + R_x).
 
@@ -269,7 +287,7 @@ def apply_kalman(gains: KalmanGains, model: DiscreteModel, joint: JointEstimate,
 
 def cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
     """Every data-independent matrix of one estimation cycle from P_x."""
-    wls = _joint_wls_gains(model, p_x, bdd)
+    wls = joint_wls_gains(model, p_x, bdd)
     return CycleGains(wls=wls, kalman=kalman_gains(model, wls.cov))
 
 
@@ -300,10 +318,14 @@ def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate
 
     Stacks the previous estimate, the previous input measurements and the
     current state measurements over the design [[I,0],[0,D],[C A_d, C B_d]]
-    with weight diag(P_x, R_u, C Q C' + R_x).
+    with weight diag(P_x, R_u, C Q C' + R_x). The WLS gains are the ones
+    the state carries, or computed at its P_x when it carries none.
     """
     observation = _observation(state, z_u_prev, z_x_now)
-    gains = _joint_wls_gains(state.model, state.p_x, state.bdd)
+    if state.gains is None:
+        gains = joint_wls_gains(state.model, state.p_x, state.bdd)
+    else:
+        gains = state.gains.wls
     return _estimate(gains, observation, state.model.n, state.step)
 
 
@@ -320,23 +342,29 @@ def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
     return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
 
 
-def dsie_step(state: FilterState, z_u_prev, z_x_now, gains: CycleGains | None = None):
+def advance(state: FilterState, gains: CycleGains | None, x_hat, p_x, joint) -> FilterState:
+    """The state after one cycle; it carries ``gains`` on while the cycle left P_x settled."""
+    carried = gains if settled(p_x, state.p_x) else None
+    return replace(state, x_hat=x_hat, p_x=p_x, joint=joint, step=state.step + 1, gains=carried)
+
+
+def dsie_step(state: FilterState, z_u_prev, z_x_now):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
-    ``gains`` are the cycle's matrices at ``state.p_x`` (``cycle_gains``);
-    they are computed here when not given. With the "hold" policy a
-    flagged step skips the measurement update and carries the prediction
-    forward; "alert-only" (default) always updates.
+    The cycle applies the gains the state carries, or computes
+    ``cycle_gains`` at ``state.p_x`` when it carries none. With the "hold"
+    policy a flagged step skips the measurement update and carries the
+    prediction forward; "alert-only" (default) always updates.
     """
-    if gains is None:
-        gains = cycle_gains(state.model, state.p_x, state.bdd)
     model = state.model
+    gains = state.gains
+    if gains is None:
+        gains = cycle_gains(model, state.p_x, state.bdd)
     observation = _observation(state, z_u_prev, z_x_now)
     joint, report = _estimate(gains.wls, observation, model.n, state.step)
     z_x_now = observation[model.n + model.l :]
     x_hat, p_x = apply_kalman(gains.kalman, model, joint, z_x_now, skips_update(report, state.bdd))
-    next_state = replace(state, x_hat=x_hat, p_x=p_x, joint=joint, step=state.step + 1)
-    return next_state, joint, report
+    return advance(state, gains, x_hat, p_x, joint), joint, report
 
 
 @dataclass(frozen=True)
@@ -347,10 +375,14 @@ class SnapshotResult:
     bdd: BddReport
 
 
+def measurement_design(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
+    """Map from (x, u) to the stacked (z_x, z_u), and that stack's noise covariance."""
+    return sla.block_diag(model.c, model.d), sla.block_diag(model.r_x, model.r_u)
+
+
 def snapshot_gains(model: DiscreteModel, bdd: BddConfig) -> WlsGains:
     """Gains of static single-time WLS over stacked (z_x, z_u)."""
-    h = sla.block_diag(model.c, model.d)
-    return _wls_gains(h, sla.block_diag(model.r_x, model.r_u), bdd)
+    return _wls_gains(*measurement_design(model), bdd)
 
 
 def wls_snapshot(z_x, z_u, model: DiscreteModel, bdd: BddConfig | None = None) -> SnapshotResult:
@@ -387,33 +419,55 @@ def initial_tse_state(model: DiscreteModel, x0, u0, p0) -> TseState:
     return TseState(y_hat=y0, p=linalg.symmetrize_psd(p0))
 
 
-def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddConfig | None = None):
+@dataclass(frozen=True)
+class TseGains:
+    """One tracking step's matrices at one P: with the innovation
+    v = z - h y the update is y + gain v with covariance ``p_next``, and
+    |whiten v| is the innovation's Mahalanobis distance."""
+
+    h: np.ndarray
+    gain: np.ndarray
+    whiten: np.ndarray
+    p_next: np.ndarray
+
+
+def tse_gains(h, r, p, q) -> TseGains:
+    """Tracking-step gains for measurement map ``h`` with noise ``r``, from P and Q."""
+    p_pred = linalg.symmetrize_psd(p + q)
+    s = h @ p_pred @ h.T + r
+    try:
+        factor = np.linalg.cholesky(0.5 * (s + s.T))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("tracking innovation covariance not positive definite") from None
+    gain = sla.cho_solve((factor, True), h @ p_pred).T
+    whiten = sla.solve_triangular(factor, np.eye(s.shape[0]), lower=True)
+    p_next = linalg.symmetrize_psd((np.eye(p.shape[0]) - gain @ h) @ p_pred)
+    return TseGains(h=h, gain=gain, whiten=whiten, p_next=p_next)
+
+
+def tse_step(
+    state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddConfig | None = None,
+    gains: TseGains | None = None,
+):
     """Random-walk tracking update over (x, u); returns (state, report).
 
     ``q_tse`` is the per-step random-walk process covariance (scalar,
-    diagonal vector, or full matrix over the stacked vector).
+    diagonal vector, or full matrix over the stacked vector). ``gains``
+    are the step's matrices at ``state.p`` (``tse_gains``); they are
+    computed here when not given.
     """
     bdd = bdd or BddConfig()
-    dim = model.n + model.m
-    q = np.asarray(q_tse, dtype=float)
-    if q.ndim == 0:
-        q = float(q) * np.eye(dim)
-    elif q.ndim == 1:
-        q = np.diag(q)
-    p_pred = linalg.symmetrize_psd(state.p + q)
-    h = sla.block_diag(model.c, model.d)
-    r = sla.block_diag(model.r_x, model.r_u)
+    if gains is None:
+        q = np.asarray(q_tse, dtype=float)
+        if q.ndim == 0:
+            q = float(q) * np.eye(model.n + model.m)
+        elif q.ndim == 1:
+            q = np.diag(q)
+        gains = tse_gains(*measurement_design(model), state.p, q)
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
-    innovation = z - h @ state.y_hat
-    s = h @ p_pred @ h.T + r
-    try:
-        factor = sla.cho_factor(0.5 * (s + s.T), lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("tracking innovation covariance not positive definite") from None
-    gain = sla.cho_solve(factor, h @ p_pred).T
-    y_hat = state.y_hat + gain @ innovation
-    p = linalg.symmetrize_psd((np.eye(dim) - gain @ h) @ p_pred)
-    distance = linalg.mahalanobis(innovation, s)
-    dof = h.shape[0]
-    report = _report(distance, bdd.threshold(dof), dof, False)
-    return TseState(y_hat=y_hat, p=p, step=state.step + 1), report
+    innovation = z - gains.h @ state.y_hat
+    w = gains.whiten @ innovation
+    dof = gains.h.shape[0]
+    report = _report(np.sqrt(w @ w), bdd.threshold(dof), dof, False)
+    y_hat = state.y_hat + gains.gain @ innovation
+    return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1), report

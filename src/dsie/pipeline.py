@@ -22,11 +22,13 @@ from .errors import SingularAtSteadyState
 from .estimator import (
     BddConfig,
     apply_wls,
-    cycle_gains,
     dsie_step,
     initial_state,
     initial_tse_state,
+    measurement_design,
+    settled,
     snapshot_gains,
+    tse_gains,
     tse_step,
 )
 from .metrics import false_alarm_rate, mean_mse, mse_per_variable
@@ -130,22 +132,11 @@ def _initial_cov(scenario: Scenario, nominal):
     return np.diag(scenario.p0_scale * nominal**2)
 
 
-def _settled(p_next, p_x) -> bool:
-    """Whether one cycle left P_x unchanged to a relative 1e-14."""
-    return float(np.max(np.abs(p_next - p_x))) <= 1e-14 * float(np.max(np.abs(p_x)))
-
-
 def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
-    """Centralized cycle over the run.
-
-    The cycle gains are recomputed only while P_x still changes: once a
-    cycle leaves P_x unchanged (``_settled``), the same gains serve every
-    later step, until a held step moves P_x to the prediction again.
-    """
+    """Centralized cycle over the run; the filter state reuses its gains once P_x settles."""
     steps = z_x.shape[0] - 1
     bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
     state = initial_state(model, x0_est, p0, bdd)
-    gains = None
     x_est = np.zeros((steps + 1, model.n))
     u_est = np.zeros((steps + 1, model.m))
     mahal = np.zeros(steps + 1)
@@ -153,12 +144,7 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
     flags = np.zeros(steps + 1, dtype=bool)
     x_est[0] = x0_est
     for k in range(1, steps + 1):
-        if gains is None:
-            gains = cycle_gains(model, state.p_x, bdd)
-        p_x = state.p_x
-        state, joint, report = dsie_step(state, z_u[k - 1], z_x[k], gains)
-        if not _settled(state.p_x, p_x):
-            gains = None
+        state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
         x_est[k] = state.x_hat
         u_est[k - 1] = joint.u_hat
         mahal[k] = report.distance
@@ -184,11 +170,14 @@ def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
 
 
 def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked) -> MethodRun:
+    """Tracking filter over the run; its gains are recomputed only until P settles."""
     steps = z_x.shape[0] - 1
     bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
     p0 = np.diag(scenario.p0_scale * nominal_stacked**2)
-    q_tse = (scenario.tse_q_fraction * nominal_stacked) ** 2
+    q_tse = np.diag((scenario.tse_q_fraction * nominal_stacked) ** 2)
+    h, r = measurement_design(model)
     state = initial_tse_state(model, x0_est, u0_est, p0)
+    gains = None
     x_est = np.zeros((steps + 1, model.n))
     u_est = np.zeros((steps + 1, model.m))
     mahal = np.zeros(steps + 1)
@@ -197,7 +186,12 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     x_est[0] = x0_est
     u_est[0] = u0_est
     for k in range(1, steps + 1):
-        state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
+        if gains is None:
+            gains = tse_gains(h, r, state.p, q_tse)
+        p = state.p
+        state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd, gains)
+        if not settled(state.p, p):
+            gains = None
         x_est[k] = state.x_part(model)
         u_est[k] = state.u_part(model)
         mahal[k] = report.distance

@@ -69,3 +69,9 @@ def random_spd(rng, size, condition=10.0):
     q, _ = np.linalg.qr(rng.normal(size=(size, size)))
     eigs = np.linspace(1.0, condition, size)
     return (q * eigs) @ q.T
+
+
+def assert_series_close(actual, expected, rel=1e-12):
+    """Agreement to ``rel`` of the series' largest magnitude."""
+    expected = np.asarray(expected)
+    assert np.max(np.abs(np.asarray(actual) - expected)) <= rel * np.max(np.abs(expected))

@@ -195,3 +195,39 @@ class TestCompare:
     def test_missing_report_is_io_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "compare", str(tmp_path / "missing"))
         assert code == EXIT_IO
+
+    def test_summary_of_hand_made_reports(self, capsys, tmp_path, monkeypatch):
+        """The printed summary, byte for byte, with a detected and a missed attack."""
+        scenario = {
+            "t_s": 0.001,
+            "attacks": [{"start": 0.005, "end": 0.008}, {"start": 0.02, "end": 0.03}],
+        }
+        methods = {
+            "dsie": {"mse_state_mean": 2.0, "flags": [1, 6, 9], "false_alarm_rate": 0.25},
+            "wls": {"mse_state_mean": 3.0, "flags": [], "false_alarm_rate": 0.0},
+        }
+        monkeypatch.chdir(tmp_path)
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            doc = {"scenario_hash": "h", "scenario": scenario, "methods": methods}
+            (tmp_path / d / "report.json").write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "compare", "a", "b")
+        assert code == EXIT_OK
+        rows = [
+            {
+                "detection_latency_steps": latency,
+                "dir": d,
+                "false_alarm_rate": rate,
+                "method": method,
+                "mse_ratio": ratio,
+                "mse_state_mean": mse,
+            }
+            for d in ("a", "b")
+            for method, latency, rate, ratio, mse in (
+                ("dsie", [1, None], 0.25, 1.0, 2.0),
+                ("wls", [None, None], 0.0, 1.5, 3.0),
+            )
+        ]
+        baseline = {"dir": "a", "method": "dsie", "mse_state_mean": 2.0}
+        expected = json.dumps({"baseline": baseline, "rows": rows}, indent=2, sort_keys=True)
+        assert out == expected + "\n"

@@ -20,7 +20,7 @@ from dsie.estimator import (
     update,
     wls_snapshot,
 )
-from dsie import pipeline
+from dsie import estimator, pipeline
 from dsie.errors import DimensionMismatch, RankDeficient
 from dsie.model import DiscreteModel, build_continuous, build_discrete, stacked_design
 from dsie.network import load_network
@@ -33,7 +33,13 @@ from dsie.sim import (
     simulate_truth,
 )
 
-from conftest import bundled_network_path, bundled_scenario_path, make_cap_bus_topology, random_spd
+from conftest import (
+    assert_series_close,
+    bundled_network_path,
+    bundled_scenario_path,
+    make_cap_bus_topology,
+    random_spd,
+)
 
 
 def small_model(state_std=0.1, input_std=0.1, process_std=0.05):
@@ -548,10 +554,13 @@ def scenario_streams(name, **changes):
     return scenario, prepared.model, z_x, z_u, x0, p0
 
 
-def assert_series_close(actual, expected, rel=1e-12):
-    """Agreement to ``rel`` of the series' largest magnitude."""
-    expected = np.asarray(expected)
-    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+def tse_inputs(name):
+    """``scenario_streams`` plus the initial input estimate and the nominal
+    magnitudes of the stacked (x, u), as run_scenario gives them to run_tse."""
+    scenario, model, z_x, z_u, x0, _ = scenario_streams(name)
+    prepared = pipeline.prepare(load_network(bundled_network_path(scenario.network)), scenario)
+    nominal = np.concatenate([prepared.x_nominal, prepared.u_nominal])
+    return scenario, model, z_x, z_u, x0, prepared.u0, nominal
 
 
 class TestGainsReuse:
@@ -574,6 +583,7 @@ class TestGainsReuse:
         state = initial_state(model, x0, p0, bdd)
         x, u, distance, flags = [x0], [], [0.0], [False]
         for k in range(1, z_x.shape[0]):
+            state = dataclasses.replace(state, gains=None)  # the per-step cycle
             state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
             x.append(state.x_hat)
             u.append(joint.u_hat)
@@ -602,13 +612,13 @@ class TestGainsReuse:
 
     def test_gains_are_recomputed_only_until_p_x_settles(self, monkeypatch):
         calls = []
-        gains = pipeline.cycle_gains
+        gains = estimator.cycle_gains
 
         def counted(*args):
             calls.append(1)
             return gains(*args)
 
-        monkeypatch.setattr(pipeline, "cycle_gains", counted)
+        monkeypatch.setattr(estimator, "cycle_gains", counted)
         scenario, model, z_x, z_u, x0, p0 = scenario_streams(
             "fixture4_load_change", duration=0.2, load_events=()
         )
@@ -623,3 +633,38 @@ class TestGainsReuse:
         held = int(pipeline.run_dsie(model, z_x, z_u, hold, x0, p0).flags.sum())
         assert held > 0
         assert settled + held <= len(calls) < 200
+
+    @pytest.mark.parametrize(
+        "name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
+    )
+    def test_run_tse_matches_the_step_loop(self, name):
+        scenario, model, z_x, z_u, x0, u0, nominal = tse_inputs(name)
+        run = pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal)
+        state = initial_tse_state(model, x0, u0, np.diag(scenario.p0_scale * nominal**2))
+        q_tse = (scenario.tse_q_fraction * nominal) ** 2
+        bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
+        x, u, distance, flags = [x0], [u0], [0.0], [False]
+        for k in range(1, z_x.shape[0]):
+            state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
+            x.append(state.x_part(model))
+            u.append(state.u_part(model))
+            distance.append(report.distance)
+            flags.append(report.flagged)
+        assert_series_close(run.x_est, x)
+        assert_series_close(run.u_est, u)
+        assert_series_close(run.mahalanobis, distance)
+        np.testing.assert_array_equal(run.flags, flags)
+
+    def test_tse_gains_are_recomputed_only_until_p_settles(self, monkeypatch):
+        calls = []
+        gains = pipeline.tse_gains
+
+        def counted(*args):
+            calls.append(1)
+            return gains(*args)
+
+        monkeypatch.setattr(pipeline, "tse_gains", counted)
+        scenario, model, z_x, z_u, x0, u0, nominal = tse_inputs("fixture4_load_change")
+        pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal)
+        assert z_x.shape[0] - 1 == 500
+        assert len(calls) <= 25  # P reaches its fixed point in about 19 steps
