@@ -43,7 +43,6 @@ from .model import (
 from .network import NetworkTopology
 from .sim import (
     Scenario,
-    TruthTrajectory,
     apply_attacks,
     generate_measurements,
     input_trajectory,
@@ -67,6 +66,7 @@ class Prepared:
     process_std: np.ndarray
     x_steady: np.ndarray
     u0: np.ndarray
+    measurement_std_override: dict | None
 
 
 def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
@@ -106,6 +106,7 @@ def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
         process_std=process_std,
         x_steady=x_steady,
         u0=u0,
+        measurement_std_override=override,
     )
 
 
@@ -200,60 +201,43 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     return MethodRun("tse", x_est, u_est, mahal, thresholds, flags)
 
 
-def area_truth_columns(area_model, central_index):
-    """Column indices into the centralized trajectory for one area."""
-    cols_x = []
-    for sid in area_model.state_ids:
-        cols_x.extend(central_index["state"][sid])
-    cols_u = []
-    for iid in area_model.input_ids:
-        cols_u.extend(central_index["input"][iid])
-    return cols_x, cols_u
+def _rows_by_label(labels, central_labels):
+    """Rows of the central stream that carry ``labels``; a label measured
+    more than once is matched in order."""
+    rows = {}
+    for i, label in enumerate(central_labels):
+        rows.setdefault(label, []).append(i)
+    queues = {label: iter(r) for label, r in rows.items()}
+    return [next(queues[label]) for label in labels]
 
 
-def run_ddsie(topology, scenario, prepared, truth: TruthTrajectory) -> MethodRun:
-    """Distributed run over the declared areas with lockstep rounds."""
-    steps = scenario.steps
-    noise_by_id = {
-        sid: float(prepared.process_std[2 * k])
-        for k, sid in enumerate(prepared.continuous.state_ids)
-    }
-    override = None
-    if scenario.measurement_fraction is not None:
-        nominal_by_id = {}
-        for sid, (d, _q) in prepared.continuous.state_index.items():
-            nominal_by_id[sid] = prepared.x_nominal[d]
-        for iid, (d, _q) in prepared.continuous.input_index.items():
-            nominal_by_id[iid] = prepared.u_nominal[d]
-        targets = [c.target for c in topology.sensors.states] + [
-            c.target for c in topology.sensors.inputs
-        ]
-        override = {t: scenario.measurement_fraction * nominal_by_id[t] for t in set(targets)}
+def run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
+    """Distributed run over the declared areas with lockstep rounds.
+
+    Every area reads its own channels out of the run's one measurement
+    stream by sensor label and starts from its block of ``x0_est``/``p0``.
+    """
+    steps = z_x.shape[0] - 1
     areas = partition(
-        topology, scenario.t_s, process_noise_std=noise_by_id, measurement_std_override=override
+        topology,
+        scenario.t_s,
+        process_noise_std=prepared.process_std,
+        measurement_std_override=prepared.measurement_std_override,
     )
-    central_index = {
-        "state": prepared.continuous.state_index,
-        "input": prepared.continuous.input_index,
-    }
+    bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
+    state_index = prepared.continuous.state_index
     streams = {}
     estimators = []
     for area in areas:
-        cols_x, cols_u = area_truth_columns(area.model, central_index)
-        local_truth = TruthTrajectory(
-            times=truth.times, x=truth.x[:, cols_x], u=truth.u[:, cols_u]
+        cols_x = [i for sid in area.model.state_ids for i in state_index[sid]]
+        rows_x = _rows_by_label(area.model.z_x_labels, prepared.model.z_x_labels)
+        rows_u = _rows_by_label(area.model.z_u_labels, prepared.model.z_u_labels)
+        streams[area.area_id] = (z_x[:, rows_x], z_u[:, rows_u], cols_x)
+        estimators.append(
+            make_area_estimator(
+                area, x0_est[cols_x], p0[np.ix_(cols_x, cols_x)], bdd, kappa=scenario.kappa
+            )
         )
-        z_x, z_u = generate_measurements(
-            local_truth, area.model, rng_for(scenario.seed, "meas", area.area_id)
-        )
-        z_x, z_u = apply_attacks(z_x, z_u, scenario.attacks, area.model, truth.times)
-        streams[area.area_id] = (z_x, z_u, cols_x)
-        x0_est = local_truth.x[0] + scenario.estimate_offset_fraction * prepared.x_nominal[cols_x]
-        p0 = np.diag(scenario.p0_scale * prepared.x_nominal[cols_x] ** 2)
-        bdd = BddConfig(
-            alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy
-        )
-        estimators.append(make_area_estimator(area, x0_est, p0, bdd, kappa=scenario.kappa))
 
     if scenario.drop_rate > 0 or scenario.delay_rate > 0:
         transport = LossyTransport(
@@ -264,8 +248,7 @@ def run_ddsie(topology, scenario, prepared, truth: TruthTrajectory) -> MethodRun
     else:
         transport = Transport()
 
-    n_central = prepared.continuous.n
-    x_est = np.zeros((steps + 1, n_central))
+    x_est = np.zeros((steps + 1, prepared.continuous.n))
     mahal = np.zeros(steps + 1)
     thresholds = np.zeros(steps + 1)
     flags = np.zeros(steps + 1, dtype=bool)
@@ -366,11 +349,9 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
         elif method == "wls":
             run = run_wls(prepared.model, z_x, z_u, scenario)
         elif method == "tse":
-            run = run_tse(
-                prepared.model, z_x, z_u, scenario, x0_est, truth.u[0], nominal_stacked
-            )
+            run = run_tse(prepared.model, z_x, z_u, scenario, x0_est, prepared.u0, nominal_stacked)
         elif method == "ddsie":
-            run = run_ddsie(topology, scenario, prepared, truth)
+            run = run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0)
         else:
             raise ValueError(f"unknown estimator {method!r}")
         run.wall_clock_s = time.perf_counter() - t0

@@ -270,8 +270,9 @@ def rng_for(seed: int, *tags: str) -> np.random.Generator:
     """Deterministic per-purpose generator derived from the scenario seed.
 
     Tags split the master seed into independent streams (truth noise,
-    per-area measurement noise, transport, replicates) without any stream
-    depending on consumption order elsewhere.
+    measurement noise, transport) without any stream depending on
+    consumption order elsewhere. A run draws one measurement stream; the
+    ddsie areas read their channels out of it.
     """
     words = [int(seed) & 0xFFFFFFFF] + [zlib.crc32(t.encode()) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(words))

@@ -138,6 +138,16 @@ class TestRun:
         assert sorted(report["methods"]) == ["tse", "wls"]
         assert not (out_dir / "estimates_dsie.csv").exists()
 
+    def test_ddsie_runs_the_bundled_attack_scenario(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys,
+            "run", "--scenario", bundled_scenario_path("fixture4_attack"),
+            "--out", str(out_dir), "--method", "ddsie",
+        )
+        assert code == EXIT_OK, err
+        assert (out_dir / "estimates_ddsie.csv").exists()
+
     def test_invalid_scenario_exits_validation(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"network": "fixture4", "t_s": -1.0, "duration": 1.0}))

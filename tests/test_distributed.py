@@ -25,6 +25,7 @@ from dsie.model import build_continuous, build_discrete, partition
 from dsie.network import AreaSpec, load_network
 from dsie.sim import (
     Scenario,
+    apply_attacks,
     generate_measurements,
     load_scenario,
     rng_for,
@@ -49,6 +50,17 @@ def area_estimators(fixture4, noise=0.1, p0=1.0, kappa=3.0):
     return [
         make_area_estimator(a, np.zeros(a.model.n), p0, kappa=kappa) for a in areas
     ]
+
+
+def whole_area(topology):
+    """One area, ``"all"``, that holds the whole network."""
+    spec = AreaSpec(
+        buses=tuple(b.id for b in topology.buses),
+        lines=tuple((l.from_bus, l.to_bus) for l in topology.lines),
+        dgus=tuple(d.at_bus for d in topology.dgus),
+        loads=tuple(l.at_bus for l in topology.loads),
+    )
+    return {"all": spec}
 
 
 def truth_and_streams(fixture4, steps, seed=0, noisy=True):
@@ -80,13 +92,9 @@ def truth_and_streams(fixture4, steps, seed=0, noisy=True):
 
 class TestLocalPhase:
     def test_single_area_no_messages(self, fixture4):
-        spec = AreaSpec(
-            buses=tuple(b.id for b in fixture4.buses),
-            lines=tuple((l.from_bus, l.to_bus) for l in fixture4.lines),
-            dgus=tuple(d.at_bus for d in fixture4.dgus),
-            loads=tuple(l.at_bus for l in fixture4.loads),
+        (area,) = partition(
+            fixture4, T_S, process_noise_std=0.1, areas=whole_area(fixture4), shared_buses=()
         )
-        (area,) = partition(fixture4, T_S, process_noise_std=0.1, areas={"all": spec}, shared_buses=())
         est = make_area_estimator(area, np.zeros(area.model.n), 1.0)
         rng = np.random.default_rng(26)
         z_u = rng.normal(size=area.model.l)
@@ -474,13 +482,9 @@ class TestRunRound:
 
 class TestFinalizePhase:
     def test_degenerate_single_area_equals_dsie_step(self, fixture4):
-        spec = AreaSpec(
-            buses=tuple(b.id for b in fixture4.buses),
-            lines=tuple((l.from_bus, l.to_bus) for l in fixture4.lines),
-            dgus=tuple(d.at_bus for d in fixture4.dgus),
-            loads=tuple(l.at_bus for l in fixture4.loads),
+        (area,) = partition(
+            fixture4, T_S, process_noise_std=0.1, areas=whole_area(fixture4), shared_buses=()
         )
-        (area,) = partition(fixture4, T_S, process_noise_std=0.1, areas={"all": spec}, shared_buses=())
         rng = np.random.default_rng(31)
         z_u = rng.normal(size=area.model.l)
         z_x = rng.normal(size=area.model.p)
@@ -497,13 +501,18 @@ class TestFinalizePhase:
 
 
 def ddsie_inputs(name, **changes):
-    """(topology, scenario, prepared, truth) of a bundled scenario, built as run_scenario does."""
+    """``run_ddsie``'s arguments for a bundled scenario, built as run_scenario builds them:
+    (topology, scenario, prepared, z_x, z_u, x0_est, p0)."""
     scenario = dataclasses.replace(load_scenario(bundled_scenario_path(name)), **changes)
     topology = load_network(bundled_network_path(scenario.network))
     prepared = pipeline.prepare(topology, scenario)
     process_std = prepared.process_std if scenario.process_fraction > 0 else None
     truth = simulate_truth(prepared.continuous, scenario, process_std=process_std)
-    return topology, scenario, prepared, truth
+    z_x, z_u = generate_measurements(truth, prepared.model, rng_for(scenario.seed, "meas"))
+    z_x, z_u = apply_attacks(z_x, z_u, scenario.attacks, prepared.model, truth.times)
+    x0_est = pipeline._initial_estimate(scenario, prepared.x_steady, prepared.x_nominal)
+    p0 = pipeline._initial_cov(scenario, prepared.x_nominal)
+    return topology, scenario, prepared, z_x, z_u, x0_est, p0
 
 
 def clear_gains(estimators):
@@ -630,7 +639,7 @@ class TestRoundGainsReuse:
 class TestDdsiePipeline:
     @pytest.mark.parametrize("name", ["fixture4_load_change", "example13_load_change"])
     def test_run_scenario_runs_ddsie(self, name):
-        topology, scenario, _, _ = ddsie_inputs(name, estimators=("ddsie",))
+        topology, scenario, *_ = ddsie_inputs(name, estimators=("ddsie",))
         result = pipeline.run_scenario(topology, scenario)
         run = result["series"]["runs"]["ddsie"]
         assert run.x_est.shape == result["series"]["truth"].x.shape
@@ -643,13 +652,77 @@ class TestDdsiePipeline:
             assert np.all(np.isfinite(series))
         assert np.isfinite(result["report"]["methods"]["ddsie"]["mse_state_mean"])
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=KeyError,
-        reason="each area applies every attack, also to channels it does not measure "
-        "(ROADMAP item 3)",
-    )
     def test_run_scenario_runs_ddsie_under_attack(self):
-        topology, scenario, _, _ = ddsie_inputs("fixture4_attack", estimators=("ddsie",))
+        topology, scenario, *_ = ddsie_inputs("fixture4_attack", estimators=("ddsie",))
         run = pipeline.run_scenario(topology, scenario)["series"]["runs"]["ddsie"]
         assert np.all(np.isfinite(run.x_est))
+
+
+class TestOneStream:
+    """Every area reads its channels out of the run's one measurement stream."""
+
+    @pytest.mark.parametrize(
+        "name, changes",
+        [
+            ("fixture4_load_change", {}),
+            ("fixture4_attack", {}),
+            ("example13_load_change", {}),
+            ("fixture4_attack", {"bdd_policy": "hold", "bdd_zeta": 5.0}),
+            ("fixture4_load_change", {"init_state": "zero"}),
+        ],
+    )
+    def test_single_area_run_equals_dsie(self, name, changes):
+        topology, scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(name, **changes)
+        whole = dataclasses.replace(topology, areas=whole_area(topology), shared_buses=())
+        run = pipeline.run_ddsie(whole, scenario, prepared, z_x, z_u, x0_est, p0)
+        ref = pipeline.run_dsie(prepared.model, z_x, z_u, scenario, x0_est, p0)
+        np.testing.assert_array_equal(run.x_est, ref.x_est)
+        np.testing.assert_array_equal(run.mahalanobis, ref.mahalanobis)
+        np.testing.assert_array_equal(run.flags, ref.flags)
+        if scenario.bdd_policy == "hold":
+            assert ref.flags.sum() > 0  # some steps held
+
+    def test_areas_read_the_central_stream_by_label(self, monkeypatch):
+        topology, scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(
+            "fixture4_load_change", duration=0.02, load_events=()
+        )
+        rounds = []
+
+        def capture(estimators, measurements, transport=None):
+            rounds.append(measurements)
+            return run_round(estimators, measurements, transport)
+
+        monkeypatch.setattr(pipeline, "run_round", capture)
+        pipeline.run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0)
+        assert len(rounds) == scenario.steps
+
+        def central_rows(labels, central):
+            """The central row of each label; the i-th repeat of a label is its i-th row."""
+            rows = []
+            for j, label in enumerate(labels):
+                repeat = labels[:j].count(label)
+                rows.append([i for i, c in enumerate(central) if c == label][repeat])
+            return rows
+
+        areas = {a.area_id: a.model for a in partition(topology, scenario.t_s)}
+        for k, measurements in enumerate(rounds, start=1):
+            for aid, (z_u_prev, z_x_now) in measurements.items():
+                rows_u = central_rows(areas[aid].z_u_labels, prepared.model.z_u_labels)
+                rows_x = central_rows(areas[aid].z_x_labels, prepared.model.z_x_labels)
+                np.testing.assert_array_equal(z_u_prev, z_u[k - 1, rows_u])
+                np.testing.assert_array_equal(z_x_now, z_x[k, rows_x])
+
+            def shared(aid):
+                labels = areas[aid].z_u_labels
+                z_u_prev = measurements[aid][0]
+                return [z_u_prev[labels.index(f"v_b3:{c}")] for c in "dq"]
+
+            assert shared("east") == shared("west")
+
+        east = areas["east"].z_x_labels
+        rows = central_rows(east, prepared.model.z_x_labels)
+        z_x_now = rounds[0]["east"][1]
+        for label in ("i_b2_b3:d", "v_b2:q"):
+            first, second = [j for j, lab in enumerate(east) if lab == label]
+            assert rows[first] != rows[second]
+            assert z_x_now[first] != z_x_now[second]
