@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import CoordinateMismatch, NotPositiveDefinite
@@ -185,11 +184,8 @@ class FusionGains:
 def _innovation_gains(u, idx, p_nb) -> FusionGains:
     u_idx = u[idx, :]
     s = u_idx[:, idx] + p_nb
-    try:
-        factor = sla.cho_factor(0.5 * (s + s.T), lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("fusion innovation covariance is not positive definite") from None
-    gain = sla.cho_solve(factor, u_idx).T
+    factor = linalg.cholesky(0.5 * (s + s.T), "fusion innovation covariance")
+    gain = linalg.cho_solve(factor, u_idx).T
     cov = u - gain @ u_idx
     return FusionGains(idx=idx, gain=gain, cov=0.5 * (cov + cov.T))
 

@@ -2,15 +2,22 @@
 
 The per-step cycle is: weighted-least-squares estimation of the previous
 state and input from (previous estimate, previous input measurements,
-current state measurements), Mahalanobis bad-data screening of that
-system's residual, prediction through the discrete model, and a Kalman
+current state measurements), bad-data screening of that system's
+residual, prediction through the discrete model, and a Kalman
 measurement update. Every matrix of the cycle depends on the model, P_x
 and the bad-data settings only, so the cycle is split in two:
 ``cycle_gains`` computes those matrices and ``dsie_step`` applies them
 to one step's data. A filter state carries its gains on while a cycle
 leaves P_x unchanged (``settled``), so a settled filter stops computing
-them. The snapshot-WLS and tracking (random-walk) baselines used for
-comparisons live here as well; the tracking filter is split the same way.
+them. The rows of the joint design whose weight does not depend on P_x
+are whitened and QR-factored once per model, so a gains call factors
+only P_x and a small stack on top of them. The bad-data distance is the
+weighted residual sum of squares r' W^{-1} r (the J(x) test with
+rows - unknowns degrees of freedom), taken from the same QR; it needs no
+residual covariance and no eigenvalue clamp. The snapshot-WLS and
+tracking (random-walk) baselines used for comparisons live here as well;
+the snapshot WLS shares the gains finisher, and the tracking filter is
+split the same way.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from scipy.stats import chi2
 
 from . import linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
-from .model import DiscreteModel, check_joint_rank, stacked_design
+from .model import DiscreteModel, check_joint_rank
 
-_S_CLAMP = 1e-10  # relative eigenvalue floor for residual covariances
+# Relative eigenvalue floor: the P_x repair in ``joint_wls_gains`` and the
+# residual covariance of ``detect_bad_data``; the gains path never clamps S.
+_S_CLAMP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,6 @@ class WlsGains:
     whiten: np.ndarray
     dof: int
     threshold: float
-    diagonal_fallback: bool
 
 
 @dataclass(frozen=True)
@@ -185,18 +193,23 @@ def _residual_whitener(design, weight, cov):
     return sla.solve_triangular(factor, np.eye(s.shape[0]), lower=True), False
 
 
-def _wls_gains(design, weight, bdd: BddConfig) -> WlsGains:
-    """Gains of the WLS estimate over (design, weight) and of its residual screen."""
-    wls, cov = linalg.wls_map(design, weight)
-    whiten, fallback = _residual_whitener(design, weight, cov)
-    dof = design.shape[0] - design.shape[1]
+def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
+    """WLS gains from the whitened QR L^{-1} H = Q R, where W = L L' is
+    the weight and ``qt_linv`` = Q' L^{-1}.
+
+    The estimate map is R^{-1} Q' L^{-1} with covariance R^{-1} R^{-T}.
+    The residual screen is the weighted residual sum of squares r' W^{-1} r
+    with rows - unknowns degrees of freedom, |(L^{-1} - Q Q' L^{-1}) z|^2;
+    with no redundancy the whitener is zero.
+    """
+    dof = q.shape[0] - q.shape[1]
+    cov = rinv @ rinv.T
     return WlsGains(
-        wls=wls,
-        cov=cov,
-        whiten=whiten @ (np.eye(design.shape[0]) - design @ wls),
+        wls=rinv @ qt_linv,
+        cov=0.5 * (cov + cov.T),
+        whiten=linv - q @ qt_linv if dof else np.zeros(linv.shape),
         dof=dof,
         threshold=bdd.threshold(dof),
-        diagonal_fallback=fallback,
     )
 
 
@@ -206,7 +219,7 @@ def apply_wls(gains: WlsGains, observations):
     return observations @ gains.wls.T, np.sqrt(np.sum(w * w, axis=-1))
 
 
-def _report(distance, threshold: float, dof: int, fallback: bool) -> BddReport:
+def _report(distance, threshold: float, dof: int, fallback: bool = False) -> BddReport:
     distance = float(distance)
     return BddReport(distance, threshold, distance >= threshold, dof, fallback)
 
@@ -231,33 +244,51 @@ def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
     """WLS gains over the joint design [[I,0],[0,D],[C A_d, C B_d]] with
     weight diag(P_x, R_u, C Q C' + R_x).
 
-    A P_x that has lost definiteness gets its eigenvalues floored at
-    1e-10 * max(trace, 1) before the one retry.
+    The rows under R_u and C Q C' + R_x are whitened and QR-factored once
+    per model (``DiscreteModel.fixed_rows``: L_f^{-1} F = Q_0 R_0), so a
+    call factors only P_x = L_p L_p' and the (n + k) x (n + m) stack
+    [[L_p^{-1}, 0], [R_0]] = Q~ R; the whitened design's Q is
+    [Q~_top; Q_0 Q~_bottom]. A P_x that has lost definiteness gets its
+    eigenvalues floored at 1e-10 * max(trace, 1) before the one retry.
     """
-    n, l = model.n, model.l
-    design = stacked_design(model)
-    weight = np.zeros((n + l + model.p,) * 2)
-    weight[:n, :n] = 0.5 * (p_x + p_x.T)
-    weight[n : n + l, n : n + l] = model.r_u
-    weight[n + l :, n + l :] = model.c @ model.q @ model.c.T + model.r_x
+    n, rows, unknowns = model.n, model.n + model.l + model.p, model.n + model.m
     try:
+        if rows < unknowns:
+            raise RankDeficient(f"underdetermined system: {rows} rows < {unknowns} unknowns", rank=rows)
+        fixed = model.fixed_rows
+        p = 0.5 * (p_x + p_x.T)
         try:
-            return _wls_gains(design, weight, bdd)
+            l_p = linalg.cholesky(p, "P_x")
         except NotPositiveDefinite:
-            p = weight[:n, :n]
-            weight[:n, :n] = linalg.clamp_eigenvalues(p, _S_CLAMP * max(np.trace(p), 1.0))
-            return _wls_gains(design, weight, bdd)
+            p = linalg.clamp_eigenvalues(p, _S_CLAMP * max(np.trace(p), 1.0))
+            l_p = linalg.cholesky(p, "P_x")
+        p_inv = linalg.triangular_inverse(l_p, lower=True)
+        stack = np.zeros((n + fixed.r0.shape[0], unknowns))
+        stack[:n, :n] = p_inv
+        stack[n:] = fixed.r0
+        q_stack, r = np.linalg.qr(stack)
+        rinv = linalg.full_rank_inverse(r, rows)
     except RankDeficient as exc:
         raise RankDeficient(
             "joint design rank deficient; unobservable inputs: "
             f"{check_joint_rank(model).unobservable_inputs}",
             rank=exc.rank,
         ) from exc
+    q = np.empty((rows, unknowns))
+    q[:n] = q_stack[:n]
+    q[n:] = fixed.q0 @ q_stack[n:]
+    qt_linv = np.empty((unknowns, rows))
+    qt_linv[:, :n] = q_stack[:n].T @ p_inv
+    qt_linv[:, n:] = q_stack[n:].T @ fixed.c0
+    linv = np.zeros((rows, rows))
+    linv[:n, :n] = p_inv
+    linv[n:, n:] = fixed.whiten
+    return _finish(q, rinv, linv, qt_linv, bdd)
 
 
 def kalman_gains(model: DiscreteModel, cov) -> KalmanGains:
     """Prediction through the model and the Kalman update for joint covariance ``cov``."""
-    ab = np.hstack([model.a_d, model.b_d])
+    ab = model.ab
     p_pred = linalg.symmetrize_psd(ab @ cov @ ab.T + model.q)
     return KalmanGains(ab, p_pred, *_update_gain(model, p_pred))
 
@@ -267,12 +298,10 @@ def _update_gain(model: DiscreteModel, p_pred):
     if model.p == 0:
         return np.zeros((model.n, 0)), linalg.symmetrize_psd(p_pred)
     c = model.c
-    s = c @ p_pred @ c.T + model.r_x
-    try:
-        factor = sla.cho_factor(0.5 * (s + s.T), lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("innovation covariance is not positive definite") from None
-    gain = sla.cho_solve(factor, c @ p_pred).T
+    cp = c @ p_pred
+    s = cp @ c.T + model.r_x
+    factor = linalg.cholesky(0.5 * (s + s.T), "innovation covariance")
+    gain = linalg.cho_solve(factor, cp).T
     return gain, linalg.symmetrize_psd((np.eye(model.n) - gain @ c) @ p_pred)
 
 
@@ -310,7 +339,7 @@ def _observation(state: FilterState, z_u_prev, z_x_now) -> np.ndarray:
 def _estimate(gains: WlsGains, observation, n: int, step: int = 0) -> tuple[JointEstimate, BddReport]:
     estimate, distance = apply_wls(gains, observation)
     joint = JointEstimate(x_hat=estimate[:n], u_hat=estimate[n:], cov=gains.cov, step=step)
-    return joint, _report(distance, gains.threshold, gains.dof, gains.diagonal_fallback)
+    return joint, _report(distance, gains.threshold, gains.dof)
 
 
 def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate, BddReport]:
@@ -382,7 +411,9 @@ def measurement_design(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
 
 def snapshot_gains(model: DiscreteModel, bdd: BddConfig) -> WlsGains:
     """Gains of static single-time WLS over stacked (z_x, z_u)."""
-    return _wls_gains(*measurement_design(model), bdd)
+    l, q, rinv, _ = linalg.whitened_qr(*measurement_design(model))
+    linv = linalg.triangular_inverse(l, lower=True)
+    return _finish(q, rinv, linv, q.T @ linv, bdd)
 
 
 def wls_snapshot(z_x, z_u, model: DiscreteModel, bdd: BddConfig | None = None) -> SnapshotResult:
@@ -468,6 +499,6 @@ def tse_step(
     innovation = z - gains.h @ state.y_hat
     w = gains.whiten @ innovation
     dof = gains.h.shape[0]
-    report = _report(np.sqrt(w @ w), bdd.threshold(dof), dof, False)
+    report = _report(np.sqrt(w @ w), bdd.threshold(dof), dof)
     y_hat = state.y_hat + gains.gain @ innovation
     return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1), report

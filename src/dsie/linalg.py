@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 
@@ -85,14 +86,55 @@ class WlsResult:
     covariance: np.ndarray
 
 
-def _cholesky_or_raise(r, name):
-    try:
-        return np.linalg.cholesky(r)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from None
+def cholesky(a, name="matrix"):
+    """Lower Cholesky factor of the symmetric ``a``; raises NotPositiveDefinite if it has none.
+
+    This and the two kernels below call LAPACK directly: the per-step
+    gains pass them matrices they built themselves, so numpy's and scipy's
+    per-call argument handling is skipped.
+    """
+    if a.size == 0:
+        return np.zeros(a.shape)
+    factor, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info:
+        raise NotPositiveDefinite(f"{name} is not positive definite")
+    return factor
 
 
-def _whitened_qr(h, r):
+def cho_solve(factor, b):
+    """Solve (L L') x = b for the lower Cholesky factor L = ``factor``."""
+    x, _ = lapack.dpotrs(factor, b, lower=1)
+    return x
+
+
+def triangular_inverse(t, lower: bool):
+    """Inverse of the nonsingular triangular ``t``."""
+    if t.size == 0:
+        return np.zeros(t.shape)
+    inv, info = lapack.dtrtri(t, lower=int(lower))
+    if info:
+        raise np.linalg.LinAlgError("singular triangular matrix")
+    return inv
+
+
+def full_rank_inverse(rf, rows: int):
+    """R^{-1} of the triangular QR factor ``rf`` of a ``rows``-row matrix.
+
+    Raises RankDeficient when a diagonal entry of R is at or below
+    max(rows, columns) * eps * max |diag R|.
+    """
+    p = rf.shape[1]
+    diag = np.abs(np.diag(rf))
+    tol = max(rows, p) * _EPS * (diag.max() if diag.size else 0.0)
+    if diag.size == 0 or np.any(diag <= tol):
+        bad = [int(i) for i in np.nonzero(diag <= tol)[0]]
+        raise RankDeficient(
+            f"H has column rank < {p}", rank=int(np.sum(diag > tol)), deficient_columns=bad
+        )
+    return triangular_inverse(rf, lower=False)
+
+
+def whitened_qr(h, r):
     """Whiten H by the Cholesky factor L of R and QR-factor it.
 
     Returns (L, Q, R_qr^{-1}, covariance), where covariance = (H'R^{-1}H)^{-1}.
@@ -102,16 +144,9 @@ def _whitened_qr(h, r):
         raise DimensionMismatch(f"R must be {q}x{q}, got {r.shape}")
     if q < p:
         raise RankDeficient(f"underdetermined system: {q} rows < {p} unknowns", rank=q)
-    l = _cholesky_or_raise(r, "R")
+    l = cholesky(r, "R")
     qf, rf = np.linalg.qr(sla.solve_triangular(l, h, lower=True))
-    diag = np.abs(np.diag(rf))
-    tol = max(q, p) * _EPS * (diag.max() if diag.size else 0.0)
-    if diag.size == 0 or np.any(diag <= tol):
-        bad = [int(i) for i in np.nonzero(diag <= tol)[0]]
-        raise RankDeficient(
-            f"H has column rank < {p}", rank=int(np.sum(diag > tol)), deficient_columns=bad
-        )
-    rinv = sla.solve_triangular(rf, np.eye(p))
+    rinv = full_rank_inverse(rf, q)
     covariance = rinv @ rinv.T
     return l, qf, rinv, 0.5 * (covariance + covariance.T)
 
@@ -128,21 +163,9 @@ def wls_solve(h, r, z) -> WlsResult:
     z = as_vector(z, "z")
     if z.shape[0] != h.shape[0]:
         raise DimensionMismatch(f"z must have length {h.shape[0]}, got {z.shape[0]}")
-    l, qf, rinv, covariance = _whitened_qr(h, as_matrix(r, "R"))
+    l, qf, rinv, covariance = whitened_qr(h, as_matrix(r, "R"))
     estimate = rinv @ (qf.T @ sla.solve_triangular(l, z, lower=True))
     return WlsResult(estimate=estimate, covariance=covariance)
-
-
-def wls_map(h, r) -> tuple[np.ndarray, np.ndarray]:
-    """The WLS estimate as a linear map: (G, covariance) with estimate = G z.
-
-    Same factorization as ``wls_solve``, so ``G @ z`` is its estimate, up
-    to rounding, for every z; G = (H'R^{-1}H)^{-1} H'R^{-1}.
-    """
-    h = as_matrix(h, "H")
-    l, qf, rinv, covariance = _whitened_qr(h, as_matrix(r, "R"))
-    linv = sla.solve_triangular(l, np.eye(h.shape[0]), lower=True)
-    return rinv @ (qf.T @ linv), covariance
 
 
 def mahalanobis(r, s) -> float:

@@ -18,6 +18,7 @@ load currents and DGU terminal voltages.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +251,16 @@ class DiscreteModel:
     def input_index(self):
         return _pairs(self.input_ids)
 
+    @functools.cached_property
+    def ab(self) -> np.ndarray:
+        """[A_d B_d], the map from (x, u) to the next state; built on first use."""
+        return np.hstack([self.a_d, self.b_d])
+
+    @functools.cached_property
+    def fixed_rows(self) -> FixedRows:
+        """The joint design's fixed rows, factored on first use (``factor_fixed_rows``)."""
+        return factor_fixed_rows(self)
+
 
 def _noise_diag(spec, ids, size, what):
     if np.isscalar(spec):
@@ -315,6 +326,38 @@ def stacked_design(model: DiscreteModel) -> np.ndarray:
     o[n + l :, :n] = model.c @ model.a_d
     o[n + l :, n:] = model.c @ model.b_d
     return o
+
+
+@dataclass(frozen=True)
+class FixedRows:
+    """The rows of the joint design whose weight does not depend on P_x.
+
+    With W_f = diag(R_u, C Q C' + R_x) = L_f L_f', ``whiten`` is L_f^{-1},
+    the whitened rows L_f^{-1} [[0, D], [C A_d, C B_d]] are ``q0 @ r0``
+    (reduced QR), and ``c0`` = q0' L_f^{-1}.
+    """
+
+    whiten: np.ndarray
+    q0: np.ndarray
+    r0: np.ndarray
+    c0: np.ndarray
+
+
+def factor_fixed_rows(model: DiscreteModel) -> FixedRows:
+    """Whiten and QR-factor the joint design's R_u and C Q C' + R_x rows.
+
+    These are the same for every P_x, so ``DiscreteModel.fixed_rows``
+    computes them once per model, when the first joint gains need them.
+    """
+    n, l, p = model.n, model.l, model.p
+    weight = np.zeros((l + p, l + p))
+    weight[:l, :l] = model.r_u
+    weight[l:, l:] = model.c @ model.q @ model.c.T + model.r_x
+    whiten = linalg.triangular_inverse(
+        linalg.cholesky(weight, "fixed-row weight diag(R_u, C Q C' + R_x)"), lower=True
+    )
+    q0, r0 = np.linalg.qr(whiten @ stacked_design(model)[n:])
+    return FixedRows(whiten=whiten, q0=q0, r0=r0, c0=q0.T @ whiten)
 
 
 @dataclass(frozen=True)

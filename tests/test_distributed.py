@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dsie import distributed, pipeline
+from dsie import distributed, model, pipeline
 from dsie.distributed import (
     AreaEstimator,
     LossyTransport,
@@ -21,7 +21,7 @@ from dsie.distributed import (
 )
 from dsie.errors import CoordinateMismatch
 from dsie.estimator import JointEstimate, dsie_step, estimate_input, initial_state
-from dsie.model import build_continuous, build_discrete, partition
+from dsie.model import build_continuous, build_discrete, check_joint_rank, partition
 from dsie.network import AreaSpec, load_network
 from dsie.sim import (
     Scenario,
@@ -634,6 +634,44 @@ class TestRoundGainsReuse:
         area_rounds = 200 * len(run.per_area_mahalanobis)
         assert len(run.flags) == 201
         assert len(calls) < area_rounds / 2
+
+
+class TestFixedRowsOncePerModel:
+    """The joint design's fixed rows are factored on first use, once per model,
+    and never while a model is built."""
+
+    def test_building_a_model_leaves_them_unfactored(self):
+        topology, scenario, prepared, *_ = ddsie_inputs("fixture4_load_change")
+        check_joint_rank(prepared.model)
+        areas = partition(
+            topology,
+            scenario.t_s,
+            process_noise_std=prepared.process_std,
+            measurement_std_override=prepared.measurement_std_override,
+        )
+        for built in [prepared.model] + [a.model for a in areas]:
+            assert "fixed_rows" not in vars(built) and "ab" not in vars(built)
+
+    def test_lossy_run_factors_each_area_model_once(self, monkeypatch):
+        factored, calls = [], []
+        factor, gains = model.factor_fixed_rows, distributed.joint_wls_gains
+
+        def counted_factor(m):
+            factored.append(id(m))
+            return factor(m)
+
+        def counted_gains(*args):
+            calls.append(1)
+            return gains(*args)
+
+        monkeypatch.setattr(model, "factor_fixed_rows", counted_factor)
+        monkeypatch.setattr(distributed, "joint_wls_gains", counted_gains)
+        run = pipeline.run_ddsie(
+            *ddsie_inputs("fixture4_load_change", drop_rate=0.2, bdd_policy="hold")
+        )
+        areas = len(run.per_area_mahalanobis)
+        assert len(set(factored)) == len(factored) == areas
+        assert len(calls) > 0.95 * (len(run.flags) - 1) * areas  # gains on nearly every round
 
 
 class TestDdsiePipeline:

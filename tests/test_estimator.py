@@ -22,7 +22,7 @@ from dsie.estimator import (
 )
 from dsie import estimator, pipeline
 from dsie.errors import DimensionMismatch, RankDeficient
-from dsie.model import DiscreteModel, build_continuous, build_discrete, stacked_design
+from dsie.model import DiscreteModel, build_continuous, build_discrete, partition, stacked_design
 from dsie.network import load_network
 from dsie.sim import (
     apply_attacks,
@@ -48,6 +48,59 @@ def small_model(state_std=0.1, input_std=0.1, process_std=0.05):
         0.001,
         process_noise_std=process_std,
     )
+
+
+def bundled_model(scenario_name, area=None):
+    """The centralized model of a bundled scenario, or one area's, as the runs build them."""
+    scenario = load_scenario(bundled_scenario_path(scenario_name))
+    topology = load_network(bundled_network_path(scenario.network))
+    prepared = pipeline.prepare(topology, scenario)
+    if area is None:
+        return prepared.model
+    areas = partition(
+        topology,
+        scenario.t_s,
+        process_noise_std=prepared.process_std,
+        measurement_std_override=prepared.measurement_std_override,
+    )
+    return next(a.model for a in areas if a.area_id == area)
+
+
+def random_joint_model(rng, n, m, l, p):
+    """A dense random model; its joint design has full column rank almost surely."""
+    return DiscreteModel(
+        a_d=rng.normal(size=(n, n)),
+        b_d=rng.normal(size=(n, m)),
+        c=rng.normal(size=(p, n)),
+        d=rng.normal(size=(l, m)),
+        q=random_spd(rng, n),
+        r_x=random_spd(rng, p),
+        r_u=random_spd(rng, l),
+        t_s=0.001,
+        state_ids=tuple(f"x{i}" for i in range(n // 2)),
+        input_ids=tuple(f"u{i}" for i in range(m // 2)),
+    )
+
+
+def joint_weight(model, p_x):
+    return sla.block_diag(p_x, model.r_u, model.c @ model.q @ model.c.T + model.r_x)
+
+
+def assert_matches_stacked_wls_oracle(model):
+    rng = np.random.default_rng(10)
+    x0 = rng.normal(size=model.n)
+    p0 = random_spd(rng, model.n)
+    z_u = rng.normal(size=model.l)
+    z_x = rng.normal(size=model.p)
+    state = initial_state(model, x0, p0)
+    joint, _ = estimate_input(state, z_u, z_x)
+    design = stacked_design(model)
+    weight = joint_weight(model, state.p_x)
+    obs = np.concatenate([state.x_hat, z_u, z_x])
+    gram = np.linalg.inv(design.T @ np.linalg.solve(weight, design))
+    oracle = gram @ design.T @ np.linalg.solve(weight, obs)
+    np.testing.assert_allclose(np.concatenate([joint.x_hat, joint.u_hat]), oracle, rtol=1e-9)
+    np.testing.assert_allclose(joint.cov, gram, rtol=1e-8)
 
 
 def simulate(model, x0, u_seq, rng=None):
@@ -119,23 +172,21 @@ class TestEstimateInput:
         np.testing.assert_allclose(joint.u_hat, z_u, atol=1e-6)
 
     def test_matches_stacked_wls_oracle(self):
-        model = small_model()
-        rng = np.random.default_rng(10)
-        x0 = rng.normal(size=model.n)
-        p0 = random_spd(rng, model.n)
-        z_u = rng.normal(size=model.l)
-        z_x = rng.normal(size=model.p)
-        state = initial_state(model, x0, p0)
-        joint, _ = estimate_input(state, z_u, z_x)
-        design = stacked_design(model)
-        weight = sla.block_diag(
-            state.p_x, model.r_u, model.c @ model.q @ model.c.T + model.r_x
-        )
-        obs = np.concatenate([state.x_hat, z_u, z_x])
-        gram = np.linalg.inv(design.T @ np.linalg.solve(weight, design))
-        oracle = gram @ design.T @ np.linalg.solve(weight, obs)
-        np.testing.assert_allclose(np.concatenate([joint.x_hat, joint.u_hat]), oracle, rtol=1e-9)
-        np.testing.assert_allclose(joint.cov, gram, rtol=1e-8)
+        assert_matches_stacked_wls_oracle(small_model())
+
+    @pytest.mark.parametrize(
+        "scenario, area",
+        [
+            ("fixture4_load_change", None),
+            ("fixture4_load_change", "east"),
+            ("fixture4_load_change", "west"),
+            ("example13_load_change", None),
+            ("example13_load_change", "a1"),
+        ],
+    )
+    def test_matches_stacked_wls_oracle_on_bundled_models(self, scenario, area):
+        # The per-model fixed-row QR on the shapes the runs use (None: centralized).
+        assert_matches_stacked_wls_oracle(bundled_model(scenario, area))
 
     def test_monte_carlo_input_covariance_consistency(self):
         model = small_model(state_std=0.2, input_std=0.3, process_std=0.1)
@@ -224,6 +275,53 @@ class TestDetectBadData:
         report = detect_bad_data(joint, [0.5, -0.5], design, np.eye(2), BddConfig())
         assert report.diagonal_fallback
         assert np.isfinite(report.distance)
+
+
+class TestResidualDistance:
+    """The gains' distance is the weighted residual sum of squares r' W^-1 r,
+    which equals r' S^+ r for the residual covariance S = W - O U O'."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n, m, l, p", [(2, 2, 2, 2), (4, 2, 0, 4), (6, 4, 2, 4), (6, 2, 2, 6)])
+    def test_joint_distance_is_residual_pseudo_inverse_form(self, seed, n, m, l, p):
+        rng = np.random.default_rng(seed)
+        model = random_joint_model(rng, n, m, l, p)
+        p_x = random_spd(rng, n)
+        z = rng.normal(size=n + l + p)
+        gains = estimator.joint_wls_gains(model, p_x, BddConfig())
+        _, distance = estimator.apply_wls(gains, z)
+
+        design = stacked_design(model)
+        weight = joint_weight(model, p_x)
+        u = np.linalg.inv(design.T @ np.linalg.solve(weight, design))
+        residual = z - design @ (u @ design.T @ np.linalg.solve(weight, z))
+        s = weight - design @ u @ design.T
+        # S has rank dof; cut its pseudo-inverse at that rank, not at rounding.
+        eigs = np.sort(np.abs(np.linalg.eigvalsh(s)))[::-1]
+        assert gains.dof == l + p - m
+        assert eigs[gains.dof - 1] > 1e-6 * eigs[0] and eigs[gains.dof] < 1e-12 * eigs[0]
+        oracle = np.sqrt(residual @ np.linalg.pinv(s, rtol=1e-10, hermitian=True) @ residual)
+        assert distance == pytest.approx(oracle, rel=1e-9)
+        assert distance == pytest.approx(np.sqrt(residual @ np.linalg.solve(weight, residual)), rel=1e-9)
+
+    def test_snapshot_distance_is_weighted_residual_sum_of_squares(self):
+        rng = np.random.default_rng(3)
+        model = random_joint_model(rng, 4, 2, 4, 6)
+        z_x, z_u = rng.normal(size=model.p), rng.normal(size=model.l)
+        result = wls_snapshot(z_x, z_u, model)
+        h, r = estimator.measurement_design(model)
+        residual = np.concatenate([z_x, z_u]) - h @ np.concatenate([result.x_hat, result.u_hat])
+        assert result.bdd.dof == 4
+        assert result.bdd.distance == pytest.approx(np.sqrt(residual @ np.linalg.solve(r, residual)), rel=1e-9)
+
+    def test_zero_dof_reports_distance_zero_and_infinite_threshold(self):
+        rng = np.random.default_rng(4)
+        model = random_joint_model(rng, 2, 2, 2, 0)  # n + l + p = n + m rows
+        state = initial_state(model, rng.normal(size=2), random_spd(rng, 2))
+        _, report = estimate_input(state, rng.normal(size=2), np.zeros(0))
+        assert (report.dof, report.distance, report.threshold, report.flagged) == (0, 0.0, np.inf, False)
+        snapshot = wls_snapshot(rng.normal(size=2), rng.normal(size=2), random_joint_model(rng, 2, 2, 2, 2))
+        assert (snapshot.bdd.dof, snapshot.bdd.distance, snapshot.bdd.threshold) == (0, 0.0, np.inf)
 
 
 class TestPredictUpdate:
