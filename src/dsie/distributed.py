@@ -1,18 +1,20 @@
 """Multi-area estimation in synchronous lockstep rounds.
 
-Each round: every area runs its local joint estimation, extracts shared-input
-estimates into messages for its neighbors, the transport delivers (or drops)
-them, and each area cross-checks incoming estimates, fuses the accepted
-coordinates as extra measurements, and finishes with predict/update.
-A missing or rejected message degrades to local-only estimation for that
-neighbor; nothing aborts the round. An area reuses its local WLS gains
-while its P_x is settled, and its fusion and Kalman gains while the
-fusion inputs are also those of the last round.
+Each area runs the centralized cycle of ``estimator`` on its own model,
+with its neighbors' shared-input estimates fused between the two halves.
+Each round: every area runs its local joint estimation, extracts
+shared-input estimates into messages for its neighbors, the transport
+delivers (or drops) them, and each area cross-checks incoming estimates,
+fuses the accepted coordinates as extra measurements, and finishes the
+cycle (``estimator.finish_cycle``). A missing or rejected message degrades
+to local-only estimation for that neighbor; nothing aborts the round. An
+area reuses its local WLS gains while its P_x is settled, and its fusion
+and Kalman gains while the fusion inputs are also those of the last round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,17 +23,14 @@ from .errors import CoordinateMismatch, NotPositiveDefinite
 from .estimator import (
     BddConfig,
     BddReport,
-    CycleGains,
     FilterState,
     JointEstimate,
     KalmanGains,
-    advance,
-    apply_kalman,
     estimate_input,
+    finish_cycle,
     initial_state,
-    joint_wls_gains,
-    kalman_gains,
     skips_update,
+    with_wls_gains,
 )
 from .model import AreaModel
 
@@ -112,14 +111,11 @@ def make_area_estimator(area: AreaModel, x0, p0, bdd: BddConfig | None = None, k
 def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
     """Run the local joint estimation and build one message per neighbor.
 
-    It uses the WLS gains the state carries; a state that carries none
-    gets them computed at its P_x and keeps them for the rest of the round.
+    The state keeps the WLS gains it is given by ``with_wls_gains`` for the
+    rest of the round.
     """
-    state = est.state
-    if state.gains is None:
-        wls = joint_wls_gains(state.model, state.p_x, state.bdd)
-        est.state = state = replace(state, gains=CycleGains(wls, None))
-    joint, report = estimate_input(state, z_u_prev, z_x_now)
+    est.state = with_wls_gains(est.state)
+    joint, report = estimate_input(est.state, z_u_prev, z_x_now)
     messages = {}
     n = est.area.model.n
     for neighbor in est.area.neighbors:
@@ -274,18 +270,10 @@ def finalize_phase(
     est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool = False,
     kalman: KalmanGains | None = None,
 ) -> FilterState:
-    """Predict from the fused joint estimate, then update unless the step is held.
-
-    ``kalman`` are the Kalman gains of ``fused.cov``; they are computed here
-    when not given. The next state carries the local WLS gains and these
-    Kalman gains on while the round leaves P_x settled.
-    """
-    state = est.state
-    if kalman is None:
-        kalman = kalman_gains(state.model, fused.cov)
-    x_hat, p_x = apply_kalman(kalman, state.model, fused, z_x_now, held)
-    gains = None if state.gains is None else CycleGains(state.gains.wls, kalman)
-    return advance(state, gains, x_hat, p_x, fused)
+    """Finish the area's cycle from the fused joint estimate (``finish_cycle``):
+    predict, update unless the step is held, and carry the gains on.
+    ``kalman`` are the Kalman gains of ``fused.cov``, or None to compute them."""
+    return finish_cycle(est.state, fused, z_x_now, held, kalman)
 
 
 class Transport:

@@ -5,19 +5,19 @@ state and input from (previous estimate, previous input measurements,
 current state measurements), bad-data screening of that system's
 residual, prediction through the discrete model, and a Kalman
 measurement update. Every matrix of the cycle depends on the model, P_x
-and the bad-data settings only, so the cycle is split in two:
-``cycle_gains`` computes those matrices and ``dsie_step`` applies them
-to one step's data. A filter state carries its gains on while a cycle
-leaves P_x unchanged (``settled``), so a settled filter stops computing
-them. The rows of the joint design whose weight does not depend on P_x
-are whitened and QR-factored once per model, so a gains call factors
-only P_x and a small stack on top of them. The bad-data distance is the
+and the bad-data settings only. The cycle is written once, as two halves
+that ``dsie_step`` and each area of ``distributed.run_round`` call:
+``with_wls_gains`` gives the state its WLS gains, and ``finish_cycle``
+predicts, updates and carries the gains on while the cycle leaves P_x
+unchanged (``settled``), so a settled filter stops computing them. The
+rows of the joint design whose weight does not depend on P_x are
+whitened and QR-factored once per model, so a gains call factors only
+P_x and a small stack on top of them. The bad-data distance is the
 weighted residual sum of squares r' W^{-1} r (the J(x) test with
-rows - unknowns degrees of freedom), taken from the same QR; it needs no
-residual covariance and no eigenvalue clamp. The snapshot-WLS and
-tracking (random-walk) baselines used for comparisons live here as well;
-the snapshot WLS shares the gains finisher, and the tracking filter is
-split the same way.
+rows - unknowns degrees of freedom), taken from the same QR. The
+snapshot-WLS and tracking (random-walk) baselines live here as well:
+both read the model's stacked measurement map, and a tracking state
+carries its gains by the same rule.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from . import linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 from .model import DiscreteModel, check_joint_rank
 
-# Relative eigenvalue floor: the P_x repair in ``joint_wls_gains`` and the
-# residual covariance of ``detect_bad_data``; the gains path never clamps S.
+# Relative eigenvalue floor of the P_x repair in ``joint_wls_gains``.
 _S_CLAMP = 1e-10
 
 
@@ -96,12 +95,14 @@ class BddReport:
     threshold: float
     flagged: bool
     dof: int
+    # Always False: the distance needs no residual covariance, so nothing
+    # falls back. Kept because benchmark tracing counts it.
     diagonal_fallback: bool = False
 
 
 @dataclass(frozen=True)
 class FilterState:
-    """Single-owner filter recursion carrier; advanced by dsie_step.
+    """Single-owner filter recursion carrier; advanced by ``finish_cycle``.
 
     ``gains`` are the gains of the last cycle, carried while that cycle
     left P_x settled, so they are valid at ``p_x``; None makes the next
@@ -112,18 +113,13 @@ class FilterState:
     x_hat: np.ndarray
     p_x: np.ndarray
     bdd: BddConfig = field(default_factory=BddConfig)
-    joint: JointEstimate | None = None
     step: int = 0
     gains: CycleGains | None = None
 
 
 def initial_state(model: DiscreteModel, x0, p0, bdd: BddConfig | None = None) -> FilterState:
     x0 = linalg.as_vector(x0, "x0")
-    p0 = np.asarray(p0, dtype=float)
-    if p0.ndim == 0:
-        p0 = float(p0) * np.eye(model.n)
-    elif p0.ndim == 1:
-        p0 = np.diag(p0)
+    p0 = linalg.as_covariance(p0, model.n)
     if x0.shape[0] != model.n or p0.shape != (model.n, model.n):
         raise DimensionMismatch("initial state/covariance sizes do not match the model")
     return FilterState(model=model, x_hat=x0, p_x=linalg.symmetrize_psd(p0), bdd=bdd or BddConfig())
@@ -161,9 +157,10 @@ class KalmanGains:
 class CycleGains:
     """Every matrix of one estimation cycle; a function of (model, P_x, bdd).
 
-    In the per-area cycle the Kalman half is taken from the fused
-    covariance, so it also depends on the fusion inputs; it is None there
-    until the round has fused (see ``distributed.run_round``).
+    The Kalman half is None from ``with_wls_gains`` until ``finish_cycle``
+    fills it in. In the per-area cycle it is taken from the fused
+    covariance, so it also depends on the fusion inputs (see
+    ``distributed.run_round``).
     """
 
     wls: WlsGains
@@ -173,24 +170,6 @@ class CycleGains:
 def settled(p_next, p) -> bool:
     """Whether one cycle left the covariance P unchanged to a relative 1e-14."""
     return float(np.max(np.abs(p_next - p))) <= 1e-14 * float(np.max(np.abs(p)))
-
-
-def _residual_whitener(design, weight, cov):
-    """W with |W r|^2 = r' S^{-1} r for the WLS residual covariance S.
-
-    S = R - O U O' is projected to positive definite by flooring its
-    eigenvalues at 1e-10 * trace, and W is the inverse of its Cholesky
-    factor. If even the projected matrix cannot be factored, W is a
-    diagonal normalization instead. Returns (W, fallback).
-    """
-    s = weight - design @ cov @ design.T
-    floor = _S_CLAMP * max(float(np.trace(s)), np.finfo(float).tiny)
-    s_pd = linalg.clamp_eigenvalues(s, floor)
-    try:
-        factor = np.linalg.cholesky(s_pd)
-    except np.linalg.LinAlgError:
-        return np.diag(1.0 / np.sqrt(np.maximum(np.diag(s_pd), floor))), True
-    return sla.solve_triangular(factor, np.eye(s.shape[0]), lower=True), False
 
 
 def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
@@ -219,25 +198,23 @@ def apply_wls(gains: WlsGains, observations):
     return observations @ gains.wls.T, np.sqrt(np.sum(w * w, axis=-1))
 
 
-def _report(distance, threshold: float, dof: int, fallback: bool = False) -> BddReport:
+def _report(distance, threshold: float, dof: int) -> BddReport:
     distance = float(distance)
-    return BddReport(distance, threshold, distance >= threshold, dof, fallback)
+    return BddReport(distance, threshold, distance >= threshold, dof)
 
 
 def detect_bad_data(joint: JointEstimate, observation, design, weight, config: BddConfig) -> BddReport:
-    """Screen the stacked WLS residual with a Mahalanobis gate.
-
-    The residual covariance is the standard WLS form S = R - O U O',
-    projected to positive definite by flooring its eigenvalues at
-    1e-10 * trace; if even the projected matrix cannot be factored the
-    distance falls back to a diagonal normalization (reported).
+    """Screen the WLS residual r = z - O [x; u] of ``joint`` by the weighted
+    residual sum of squares r' W^{-1} r = |L^{-1} r|^2 for the weight
+    W = L L', with rows - unknowns degrees of freedom: the distance the
+    gains path takes from its QR.
     """
     est = np.concatenate([joint.x_hat, joint.u_hat])
     residual = linalg.as_vector(observation, "observation") - design @ est
-    whiten, fallback = _residual_whitener(design, weight, joint.cov)
-    w = whiten @ residual
+    factor = linalg.cholesky(np.asarray(weight, dtype=float), "bad-data weight")
+    w = sla.solve_triangular(factor, residual, lower=True)
     dof = design.shape[0] - design.shape[1]
-    return _report(np.sqrt(w @ w), config.threshold(dof), dof, fallback)
+    return _report(np.sqrt(w @ w), config.threshold(dof), dof)
 
 
 def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
@@ -314,12 +291,6 @@ def apply_kalman(gains: KalmanGains, model: DiscreteModel, joint: JointEstimate,
     return x_pred + gains.gain @ (z_x_now - model.c @ x_pred), gains.p_next
 
 
-def cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
-    """Every data-independent matrix of one estimation cycle from P_x."""
-    wls = joint_wls_gains(model, p_x, bdd)
-    return CycleGains(wls=wls, kalman=kalman_gains(model, wls.cov))
-
-
 def skips_update(report: BddReport, bdd: BddConfig) -> bool:
     """Whether the "hold" policy skips this step's measurement update."""
     return report.flagged and bdd.policy == "hold"
@@ -347,15 +318,10 @@ def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate
 
     Stacks the previous estimate, the previous input measurements and the
     current state measurements over the design [[I,0],[0,D],[C A_d, C B_d]]
-    with weight diag(P_x, R_u, C Q C' + R_x). The WLS gains are the ones
-    the state carries, or computed at its P_x when it carries none.
+    with weight diag(P_x, R_u, C Q C' + R_x), using ``with_wls_gains``.
     """
     observation = _observation(state, z_u_prev, z_x_now)
-    if state.gains is None:
-        gains = joint_wls_gains(state.model, state.p_x, state.bdd)
-    else:
-        gains = state.gains.wls
-    return _estimate(gains, observation, state.model.n, state.step)
+    return _estimate(with_wls_gains(state).gains.wls, observation, state.model.n, state.step)
 
 
 def predict(joint: JointEstimate, model: DiscreteModel):
@@ -371,29 +337,52 @@ def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
     return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
 
 
-def advance(state: FilterState, gains: CycleGains | None, x_hat, p_x, joint) -> FilterState:
-    """The state after one cycle; it carries ``gains`` on while the cycle left P_x settled."""
-    carried = gains if settled(p_x, state.p_x) else None
-    return replace(state, x_hat=x_hat, p_x=p_x, joint=joint, step=state.step + 1, gains=carried)
+def with_wls_gains(state: FilterState) -> FilterState:
+    """The first half of a cycle: ``state`` carrying WLS gains, its own or
+    ones computed at its P_x when it carries none."""
+    if state.gains is not None:
+        return state
+    return replace(state, gains=CycleGains(joint_wls_gains(state.model, state.p_x, state.bdd), None))
+
+
+def finish_cycle(
+    state: FilterState, joint: JointEstimate, z_x_now, held: bool, kalman: KalmanGains | None = None
+) -> FilterState:
+    """The second half of a cycle: predict from ``joint``, update with
+    ``z_x_now`` unless the step is held, and return the next state.
+
+    ``kalman`` are the Kalman gains of ``joint.cov``; they are computed here
+    when not given. The next state carries the state's WLS gains and these
+    Kalman gains on while the cycle left P_x settled; a cycle that reused
+    the state's Kalman gains carries the state's ``CycleGains`` itself.
+    """
+    model = state.model
+    if kalman is None:
+        kalman = kalman_gains(model, joint.cov)
+    x_hat, p_x = apply_kalman(kalman, model, joint, z_x_now, held)
+    gains = state.gains
+    if gains is None or not settled(p_x, state.p_x):
+        gains = None
+    elif kalman is not gains.kalman:
+        gains = CycleGains(gains.wls, kalman)
+    return replace(state, x_hat=x_hat, p_x=p_x, step=state.step + 1, gains=gains)
 
 
 def dsie_step(state: FilterState, z_u_prev, z_x_now):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
-    The cycle applies the gains the state carries, or computes
-    ``cycle_gains`` at ``state.p_x`` when it carries none. With the "hold"
-    policy a flagged step skips the measurement update and carries the
-    prediction forward; "alert-only" (default) always updates.
+    The cycle is ``with_wls_gains``, the WLS estimate and screen, and
+    ``finish_cycle`` with the Kalman gains the state carries. With the
+    "hold" policy a flagged step skips the measurement update and carries
+    the prediction forward; "alert-only" (default) always updates.
     """
     model = state.model
-    gains = state.gains
-    if gains is None:
-        gains = cycle_gains(model, state.p_x, state.bdd)
     observation = _observation(state, z_u_prev, z_x_now)
-    joint, report = _estimate(gains.wls, observation, model.n, state.step)
+    state = with_wls_gains(state)
+    joint, report = _estimate(state.gains.wls, observation, model.n, state.step)
+    held = skips_update(report, state.bdd)
     z_x_now = observation[model.n + model.l :]
-    x_hat, p_x = apply_kalman(gains.kalman, model, joint, z_x_now, skips_update(report, state.bdd))
-    return advance(state, gains, x_hat, p_x, joint), joint, report
+    return finish_cycle(state, joint, z_x_now, held, state.gains.kalman), joint, report
 
 
 @dataclass(frozen=True)
@@ -404,14 +393,9 @@ class SnapshotResult:
     bdd: BddReport
 
 
-def measurement_design(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
-    """Map from (x, u) to the stacked (z_x, z_u), and that stack's noise covariance."""
-    return sla.block_diag(model.c, model.d), sla.block_diag(model.r_x, model.r_u)
-
-
 def snapshot_gains(model: DiscreteModel, bdd: BddConfig) -> WlsGains:
     """Gains of static single-time WLS over stacked (z_x, z_u)."""
-    l, q, rinv, _ = linalg.whitened_qr(*measurement_design(model))
+    l, q, rinv, _ = linalg.whitened_qr(*model.measurement_design)
     linv = linalg.triangular_inverse(l, lower=True)
     return _finish(q, rinv, linv, q.T @ linv, bdd)
 
@@ -426,11 +410,17 @@ def wls_snapshot(z_x, z_u, model: DiscreteModel, bdd: BddConfig | None = None) -
 
 @dataclass(frozen=True)
 class TseState:
-    """Forecasting-aided tracking filter over the stacked (x, u) vector."""
+    """Forecasting-aided tracking filter over the stacked (x, u) vector.
+
+    ``gains`` are the last step's gains, carried while that step left P
+    settled, so they are valid at ``p`` for the same Q; None makes the next
+    step compute them.
+    """
 
     y_hat: np.ndarray
     p: np.ndarray
     step: int = 0
+    gains: TseGains | None = None
 
     def x_part(self, model):
         return self.y_hat[: model.n]
@@ -441,13 +431,7 @@ class TseState:
 
 def initial_tse_state(model: DiscreteModel, x0, u0, p0) -> TseState:
     y0 = np.concatenate([linalg.as_vector(x0, "x0"), linalg.as_vector(u0, "u0")])
-    p0 = np.asarray(p0, dtype=float)
-    dim = model.n + model.m
-    if p0.ndim == 0:
-        p0 = float(p0) * np.eye(dim)
-    elif p0.ndim == 1:
-        p0 = np.diag(p0)
-    return TseState(y_hat=y0, p=linalg.symmetrize_psd(p0))
+    return TseState(y_hat=y0, p=linalg.symmetrize_psd(linalg.as_covariance(p0, model.n + model.m)))
 
 
 @dataclass(frozen=True)
@@ -476,29 +460,24 @@ def tse_gains(h, r, p, q) -> TseGains:
     return TseGains(h=h, gain=gain, whiten=whiten, p_next=p_next)
 
 
-def tse_step(
-    state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddConfig | None = None,
-    gains: TseGains | None = None,
-):
+def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddConfig | None = None):
     """Random-walk tracking update over (x, u); returns (state, report).
 
     ``q_tse`` is the per-step random-walk process covariance (scalar,
-    diagonal vector, or full matrix over the stacked vector). ``gains``
-    are the step's matrices at ``state.p`` (``tse_gains``); they are
-    computed here when not given.
+    diagonal vector, or full matrix over the stacked vector). The step uses
+    the gains the state carries, or computes ``tse_gains`` at ``state.p``
+    when it carries none; the next state carries them on while P is settled.
     """
     bdd = bdd or BddConfig()
+    gains = state.gains
     if gains is None:
-        q = np.asarray(q_tse, dtype=float)
-        if q.ndim == 0:
-            q = float(q) * np.eye(model.n + model.m)
-        elif q.ndim == 1:
-            q = np.diag(q)
-        gains = tse_gains(*measurement_design(model), state.p, q)
+        q = linalg.as_covariance(q_tse, model.n + model.m)
+        gains = tse_gains(*model.measurement_design, state.p, q)
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
     innovation = z - gains.h @ state.y_hat
     w = gains.whiten @ innovation
     dof = gains.h.shape[0]
     report = _report(np.sqrt(w @ w), bdd.threshold(dof), dof)
     y_hat = state.y_hat + gains.gain @ innovation
-    return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1), report
+    carried = gains if settled(gains.p_next, state.p) else None
+    return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1, gains=carried), report

@@ -74,6 +74,14 @@ def as_vector(a, name="vector"):
     return v
 
 
+def as_covariance(p, dim: int) -> np.ndarray:
+    """A covariance given as a scalar (times I_dim), a diagonal vector or a full matrix."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        return float(p) * np.eye(dim)
+    return np.diag(p) if p.ndim == 1 else p
+
+
 @dataclass(frozen=True)
 class WlsResult:
     """Solution of a weighted least-squares problem.

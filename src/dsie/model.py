@@ -22,6 +22,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import linalg
 from .errors import (
@@ -260,6 +261,12 @@ class DiscreteModel:
     def fixed_rows(self) -> FixedRows:
         """The joint design's fixed rows, factored on first use (``factor_fixed_rows``)."""
         return factor_fixed_rows(self)
+
+    @functools.cached_property
+    def measurement_design(self) -> tuple[np.ndarray, np.ndarray]:
+        """(block_diag(C, D), block_diag(R_x, R_u)): the map from (x, u) to the
+        stacked (z_x, z_u) and that stack's noise covariance; built on first use."""
+        return sla.block_diag(self.c, self.d), sla.block_diag(self.r_x, self.r_u)
 
 
 def _noise_diag(spec, ids, size, what):

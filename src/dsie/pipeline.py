@@ -25,10 +25,7 @@ from .estimator import (
     dsie_step,
     initial_state,
     initial_tse_state,
-    measurement_design,
-    settled,
     snapshot_gains,
-    tse_gains,
     tse_step,
 )
 from .metrics import false_alarm_rate, mean_mse, mse_per_variable
@@ -171,14 +168,12 @@ def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
 
 
 def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked) -> MethodRun:
-    """Tracking filter over the run; its gains are recomputed only until P settles."""
+    """Tracking filter over the run; its state carries its gains once P settles."""
     steps = z_x.shape[0] - 1
     bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
     p0 = np.diag(scenario.p0_scale * nominal_stacked**2)
     q_tse = np.diag((scenario.tse_q_fraction * nominal_stacked) ** 2)
-    h, r = measurement_design(model)
     state = initial_tse_state(model, x0_est, u0_est, p0)
-    gains = None
     x_est = np.zeros((steps + 1, model.n))
     u_est = np.zeros((steps + 1, model.m))
     mahal = np.zeros(steps + 1)
@@ -187,12 +182,7 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     x_est[0] = x0_est
     u_est[0] = u0_est
     for k in range(1, steps + 1):
-        if gains is None:
-            gains = tse_gains(h, r, state.p, q_tse)
-        p = state.p
-        state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd, gains)
-        if not settled(state.p, p):
-            gains = None
+        state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
         x_est[k] = state.x_part(model)
         u_est[k] = state.u_part(model)
         mahal[k] = report.distance

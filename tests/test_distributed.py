@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dsie import distributed, model, pipeline
+from dsie import estimator, model, pipeline
 from dsie.distributed import (
     AreaEstimator,
     LossyTransport,
@@ -621,13 +621,13 @@ class TestRoundGainsReuse:
 
     def test_lossless_run_recomputes_local_gains_in_under_half_of_the_rounds(self, monkeypatch):
         calls = []
-        gains = distributed.joint_wls_gains
+        gains = estimator.joint_wls_gains
 
         def counted(*args):
             calls.append(1)
             return gains(*args)
 
-        monkeypatch.setattr(distributed, "joint_wls_gains", counted)
+        monkeypatch.setattr(estimator, "joint_wls_gains", counted)
         run = pipeline.run_ddsie(
             *ddsie_inputs("fixture4_load_change", duration=0.2, load_events=())
         )
@@ -650,11 +650,11 @@ class TestFixedRowsOncePerModel:
             measurement_std_override=prepared.measurement_std_override,
         )
         for built in [prepared.model] + [a.model for a in areas]:
-            assert "fixed_rows" not in vars(built) and "ab" not in vars(built)
+            assert not {"fixed_rows", "ab", "measurement_design"} & set(vars(built))
 
     def test_lossy_run_factors_each_area_model_once(self, monkeypatch):
         factored, calls = [], []
-        factor, gains = model.factor_fixed_rows, distributed.joint_wls_gains
+        factor, gains = model.factor_fixed_rows, estimator.joint_wls_gains
 
         def counted_factor(m):
             factored.append(id(m))
@@ -665,7 +665,7 @@ class TestFixedRowsOncePerModel:
             return gains(*args)
 
         monkeypatch.setattr(model, "factor_fixed_rows", counted_factor)
-        monkeypatch.setattr(distributed, "joint_wls_gains", counted_gains)
+        monkeypatch.setattr(estimator, "joint_wls_gains", counted_gains)
         run = pipeline.run_ddsie(
             *ddsie_inputs("fixture4_load_change", drop_rate=0.2, bdd_policy="hold")
         )

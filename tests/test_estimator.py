@@ -267,14 +267,19 @@ class TestDetectBadData:
         assert not report.diagonal_fallback
         assert np.isfinite(report.distance)
 
-    def test_diagonal_fallback_on_indefinite_residual_cov(self):
-        # An overstated covariance makes S = R - O U O' indefinite with zero
-        # trace, so the clamped matrix is singular and the diagonal route kicks in.
-        joint = JointEstimate(x_hat=np.zeros(1), u_hat=np.zeros(0), cov=np.array([[1.0]]))
-        design = np.array([[1.0], [1.0]])
-        report = detect_bad_data(joint, [0.5, -0.5], design, np.eye(2), BddConfig())
-        assert report.diagonal_fallback
-        assert np.isfinite(report.distance)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_screening_the_joint_estimate_reproduces_the_gains_report(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_joint_model(rng, 6, 4, 2, 4)
+        state = initial_state(model, rng.normal(size=model.n), random_spd(rng, model.n))
+        z_u, z_x = rng.normal(size=model.l), rng.normal(size=model.p)
+        joint, report = estimate_input(state, z_u, z_x)
+        observation = np.concatenate([state.x_hat, z_u, z_x])
+        weight = joint_weight(model, state.p_x)
+        screened = detect_bad_data(joint, observation, stacked_design(model), weight, BddConfig())
+        assert screened.distance == pytest.approx(report.distance, rel=1e-9)
+        assert (screened.dof, screened.threshold) == (report.dof, report.threshold)
+        assert not screened.diagonal_fallback
 
 
 class TestResidualDistance:
@@ -309,7 +314,7 @@ class TestResidualDistance:
         model = random_joint_model(rng, 4, 2, 4, 6)
         z_x, z_u = rng.normal(size=model.p), rng.normal(size=model.l)
         result = wls_snapshot(z_x, z_u, model)
-        h, r = estimator.measurement_design(model)
+        h, r = model.measurement_design
         residual = np.concatenate([z_x, z_u]) - h @ np.concatenate([result.x_hat, result.u_hat])
         assert result.bdd.dof == 4
         assert result.bdd.distance == pytest.approx(np.sqrt(residual @ np.linalg.solve(r, residual)), rel=1e-9)
@@ -607,6 +612,26 @@ class TestTseStep:
         assert tse_err > dsie_err
 
 
+@pytest.mark.parametrize("form", ["scalar", "vector", "matrix"])
+def test_a_covariance_may_be_a_scalar_a_diagonal_vector_or_a_matrix(form):
+    model = small_model()
+    n, dim = model.n, model.n + model.m
+
+    def given(value, size):
+        return {"scalar": value, "vector": np.full(size, value), "matrix": value * np.eye(size)}[form]
+
+    rng = np.random.default_rng(25)
+    x0, u0 = rng.normal(size=n), rng.normal(size=model.m)
+    z_x, z_u = rng.normal(size=model.p), rng.normal(size=model.l)
+    state = initial_state(model, x0, given(0.5, n))
+    ref = initial_state(model, x0, 0.5 * np.eye(n))
+    np.testing.assert_array_equal(state.p_x, ref.p_x)
+    tse, _ = tse_step(initial_tse_state(model, x0, u0, given(2.0, dim)), z_x, z_u, model, given(1e-3, dim))
+    ref_tse, _ = tse_step(initial_tse_state(model, x0, u0, 2.0 * np.eye(dim)), z_x, z_u, model, 1e-3 * np.eye(dim))
+    np.testing.assert_array_equal(tse.y_hat, ref_tse.y_hat)
+    np.testing.assert_array_equal(tse.p, ref_tse.p)
+
+
 class TestInnovationConsistency:
     def test_reported_innovation_variance_is_conservative(self):
         """The cycle refines the previous estimate with the current state
@@ -710,13 +735,13 @@ class TestGainsReuse:
 
     def test_gains_are_recomputed_only_until_p_x_settles(self, monkeypatch):
         calls = []
-        gains = estimator.cycle_gains
+        gains = estimator.joint_wls_gains
 
         def counted(*args):
             calls.append(1)
             return gains(*args)
 
-        monkeypatch.setattr(estimator, "cycle_gains", counted)
+        monkeypatch.setattr(estimator, "joint_wls_gains", counted)
         scenario, model, z_x, z_u, x0, p0 = scenario_streams(
             "fixture4_load_change", duration=0.2, load_events=()
         )
@@ -743,6 +768,7 @@ class TestGainsReuse:
         bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
         x, u, distance, flags = [x0], [u0], [0.0], [False]
         for k in range(1, z_x.shape[0]):
+            state = dataclasses.replace(state, gains=None)  # the per-step update
             state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
             x.append(state.x_part(model))
             u.append(state.u_part(model))
@@ -755,13 +781,13 @@ class TestGainsReuse:
 
     def test_tse_gains_are_recomputed_only_until_p_settles(self, monkeypatch):
         calls = []
-        gains = pipeline.tse_gains
+        gains = estimator.tse_gains
 
         def counted(*args):
             calls.append(1)
             return gains(*args)
 
-        monkeypatch.setattr(pipeline, "tse_gains", counted)
+        monkeypatch.setattr(estimator, "tse_gains", counted)
         scenario, model, z_x, z_u, x0, u0, nominal = tse_inputs("fixture4_load_change")
         pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal)
         assert z_x.shape[0] - 1 == 500
