@@ -52,13 +52,6 @@ def resolve_network(ref: str, base_dir: str | None = None) -> str:
     raise FileNotFoundError(f"network {ref!r} not found as a file or bundled network")
 
 
-def bundled_scenario(name: str) -> str:
-    path = resources.files("dsie").joinpath("data", "scenarios", f"{name}.json")
-    if not path.is_file():
-        raise FileNotFoundError(f"no bundled scenario {name!r}")
-    return str(path)
-
-
 def _validate(network_path, scenario_path) -> dict:
     problems = []
     topology = None

@@ -177,31 +177,25 @@ class FusionGains:
     cov: np.ndarray
 
 
-def _innovation_gains(u, idx, p_nb) -> FusionGains:
-    u_idx = u[idx, :]
-    s = u_idx[:, idx] + p_nb
-    factor = linalg.cholesky(0.5 * (s + s.T), "fusion innovation covariance")
-    gain = linalg.cho_solve(factor, u_idx).T
-    cov = u - gain @ u_idx
-    return FusionGains(idx=idx, gain=gain, cov=0.5 * (cov + cov.T))
-
-
 def fusion_gains(cov, idx, p_nb) -> FusionGains:
     """Gains of fusing measurements of the coordinates ``idx``, with noise
     covariance ``p_nb``, into an estimate with covariance U = ``cov``.
 
-    With S = U[idx, idx] + p_nb and K = U[:, idx] S^-1 the fused covariance
-    is U - K U[idx, :], the same as the stacked WLS solution, from one
-    k x k factorization for k fused coordinates. If S cannot be factored,
-    U's eigenvalues are floored at 1e-12 * max(trace, 1) before the one
-    retry.
+    The fusion is the measurement update (``linalg.kalman_update``) of U by
+    H = the rows ``idx`` of the identity: with S = U[idx, idx] + p_nb and
+    K = U[:, idx] S^-1 the fused covariance is (I - K H) U, the same as the
+    stacked WLS solution, from one k x k factorization for k fused
+    coordinates. If S cannot be factored, U's eigenvalues are floored at
+    1e-12 * max(trace, 1) before the one retry.
     """
     u = 0.5 * (cov + cov.T)
+    h = np.eye(u.shape[0])[idx]
     try:
-        return _innovation_gains(u, idx, p_nb)
+        gain, fused, _ = linalg.kalman_update(u, h, p_nb, "fusion innovation covariance")
     except NotPositiveDefinite:  # the local covariance lost definiteness
         u = linalg.clamp_eigenvalues(u, 1e-12 * max(np.trace(u), 1.0))
-        return _innovation_gains(u, idx, p_nb)
+        gain, fused, _ = linalg.kalman_update(u, h, p_nb, "fusion innovation covariance")
+    return FusionGains(idx=idx, gain=gain, cov=fused)
 
 
 def apply_fusion(gains: FusionGains, local: JointEstimate, z) -> JointEstimate:

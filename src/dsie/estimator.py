@@ -4,7 +4,8 @@ The per-step cycle is: weighted-least-squares estimation of the previous
 state and input from (previous estimate, previous input measurements,
 current state measurements), bad-data screening of that system's
 residual, prediction through the discrete model, and a Kalman
-measurement update. Every matrix of the cycle depends on the model, P_x
+measurement update (``linalg.kalman_update``, the update the tracking
+baseline and the multi-area fusion use too). Every matrix of the cycle depends on the model, P_x
 and the bad-data settings only. The cycle is written once, as two halves
 that ``dsie_step`` and each area of ``distributed.run_round`` call:
 ``with_wls_gains`` gives the state its WLS gains, and ``finish_cycle``
@@ -169,7 +170,7 @@ class CycleGains:
 
 def settled(p_next, p) -> bool:
     """Whether one cycle left the covariance P unchanged to a relative 1e-14."""
-    return float(np.max(np.abs(p_next - p))) <= 1e-14 * float(np.max(np.abs(p)))
+    return p_next is p or float(np.max(np.abs(p_next - p))) <= 1e-14 * float(np.max(np.abs(p)))
 
 
 def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
@@ -266,20 +267,10 @@ def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
 def kalman_gains(model: DiscreteModel, cov) -> KalmanGains:
     """Prediction through the model and the Kalman update for joint covariance ``cov``."""
     ab = model.ab
-    p_pred = linalg.symmetrize_psd(ab @ cov @ ab.T + model.q)
-    return KalmanGains(ab, p_pred, *_update_gain(model, p_pred))
-
-
-def _update_gain(model: DiscreteModel, p_pred):
-    """Kalman gain and updated covariance for prior covariance ``p_pred``."""
-    if model.p == 0:
-        return np.zeros((model.n, 0)), linalg.symmetrize_psd(p_pred)
-    c = model.c
-    cp = c @ p_pred
-    s = cp @ c.T + model.r_x
-    factor = linalg.cholesky(0.5 * (s + s.T), "innovation covariance")
-    gain = linalg.cho_solve(factor, cp).T
-    return gain, linalg.symmetrize_psd((np.eye(model.n) - gain @ c) @ p_pred)
+    p_pred = ab @ cov @ ab.T + model.q
+    p_pred = 0.5 * (p_pred + p_pred.T)
+    gain, p_next, _ = linalg.kalman_update(p_pred, model.c, model.r_x)
+    return KalmanGains(ab, p_pred, gain, p_next)
 
 
 def apply_kalman(gains: KalmanGains, model: DiscreteModel, joint: JointEstimate, z_x_now, held: bool):
@@ -333,7 +324,7 @@ def predict(joint: JointEstimate, model: DiscreteModel):
 def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
     """Standard Kalman measurement update; returns (x_hat, p_x)."""
     x_pred = linalg.as_vector(x_pred, "x_pred")
-    gain, p_x = _update_gain(model, p_pred)
+    gain, p_x, _ = linalg.kalman_update(p_pred, model.c, model.r_x)
     return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
 
 
@@ -447,16 +438,15 @@ class TseGains:
 
 
 def tse_gains(h, r, p, q) -> TseGains:
-    """Tracking-step gains for measurement map ``h`` with noise ``r``, from P and Q."""
-    p_pred = linalg.symmetrize_psd(p + q)
-    s = h @ p_pred @ h.T + r
-    try:
-        factor = np.linalg.cholesky(0.5 * (s + s.T))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("tracking innovation covariance not positive definite") from None
-    gain = sla.cho_solve((factor, True), h @ p_pred).T
-    whiten = sla.solve_triangular(factor, np.eye(s.shape[0]), lower=True)
-    p_next = linalg.symmetrize_psd((np.eye(p.shape[0]) - gain @ h) @ p_pred)
+    """Tracking-step gains for measurement map ``h`` with noise ``r``, from
+    the symmetric P and Q.
+
+    The step is the measurement update (``linalg.kalman_update``) of the
+    random-walk prediction P + Q; the innovation whitener is L^{-1} for the
+    returned factor L of the innovation covariance S = L L'.
+    """
+    gain, p_next, factor = linalg.kalman_update(p + q, h, r, "tracking innovation covariance")
+    whiten = sla.solve_triangular(factor, np.eye(factor.shape[0]), lower=True)
     return TseGains(h=h, gain=gain, whiten=whiten, p_next=p_next)
 
 
@@ -471,7 +461,7 @@ def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddCon
     bdd = bdd or BddConfig()
     gains = state.gains
     if gains is None:
-        q = linalg.as_covariance(q_tse, model.n + model.m)
+        q = linalg.symmetrize_psd(linalg.as_covariance(q_tse, model.n + model.m))
         gains = tse_gains(*model.measurement_design, state.p, q)
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
     innovation = z - gains.h @ state.y_hat

@@ -97,9 +97,10 @@ class WlsResult:
 def cholesky(a, name="matrix"):
     """Lower Cholesky factor of the symmetric ``a``; raises NotPositiveDefinite if it has none.
 
-    This and the two kernels below call LAPACK directly: the per-step
-    gains pass them matrices they built themselves, so numpy's and scipy's
-    per-call argument handling is skipped.
+    Every Cholesky factorisation and solve in the package goes through this
+    and ``cho_solve``. They and ``triangular_inverse`` call LAPACK directly,
+    without numpy's and scipy's per-call argument handling, so callers pass
+    finite float arrays.
     """
     if a.size == 0:
         return np.zeros(a.shape)
@@ -123,6 +124,24 @@ def triangular_inverse(t, lower: bool):
     if info:
         raise np.linalg.LinAlgError("singular triangular matrix")
     return inv
+
+
+def kalman_update(p, h, r, name="innovation covariance"):
+    """Measurement update of the covariance ``p`` by rows ``h`` with noise ``r``.
+
+    Returns (K, P+, L): the gain K = P H' S^{-1} for S = H P H' + R = L L',
+    and P+ = (I - K H) P symmetrized. An ``h`` with no rows gives a zero gain
+    and ``p`` itself. Raises NotPositiveDefinite, naming ``name``, when S
+    does not factor.
+    """
+    if h.shape[0] == 0:
+        return np.zeros((p.shape[0], 0)), p, np.zeros((0, 0))
+    hp = h @ p
+    s = hp @ h.T + r
+    factor = cholesky(0.5 * (s + s.T), name)
+    gain = cho_solve(factor, hp).T
+    p_next = (np.eye(p.shape[0]) - gain @ h) @ p
+    return gain, 0.5 * (p_next + p_next.T), factor
 
 
 def full_rank_inverse(rf, rows: int):
@@ -188,12 +207,7 @@ def mahalanobis(r, s) -> float:
         raise DimensionMismatch(f"S must be {r.shape[0]}x{r.shape[0]}, got {s.shape}")
     if r.size == 0:
         return 0.0
-    s = 0.5 * (s + s.T)
-    try:
-        factor = sla.cho_factor(s, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("S is not positive definite") from None
-    y = sla.cho_solve(factor, r)
+    y = cho_solve(cholesky(0.5 * (s + s.T), "S"), r)
     return float(np.sqrt(max(float(r @ y), 0.0)))
 
 
@@ -234,12 +248,10 @@ def symmetrize_psd(p) -> np.ndarray:
     if p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"P must be square, got {p.shape}")
     s = 0.5 * (p + p.T)
-    if s.shape[0] == 0:
-        return s
     try:
-        np.linalg.cholesky(s)
+        cholesky(s, "P")
         return s
-    except np.linalg.LinAlgError:
+    except NotPositiveDefinite:
         pass
     w, v = np.linalg.eigh(s)
     w = np.clip(w, 0.0, None)

@@ -130,11 +130,14 @@ def _initial_cov(scenario: Scenario, nominal):
     return np.diag(scenario.p0_scale * nominal**2)
 
 
+def _bdd(scenario: Scenario) -> BddConfig:
+    return BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
+
+
 def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
     """Centralized cycle over the run; the filter state reuses its gains once P_x settles."""
     steps = z_x.shape[0] - 1
-    bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
-    state = initial_state(model, x0_est, p0, bdd)
+    state = initial_state(model, x0_est, p0, _bdd(scenario))
     x_est = np.zeros((steps + 1, model.n))
     u_est = np.zeros((steps + 1, model.m))
     mahal = np.zeros(steps + 1)
@@ -154,8 +157,7 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
 
 def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
     """Snapshot WLS at every step: one set of gains, applied to all rows at once."""
-    bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
-    gains = snapshot_gains(model, bdd)
+    gains = snapshot_gains(model, _bdd(scenario))
     estimates, mahal = apply_wls(gains, linalg.as_matrix(np.hstack([z_x, z_u]), "measurements"))
     return MethodRun(
         "wls",
@@ -170,8 +172,8 @@ def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
 def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked) -> MethodRun:
     """Tracking filter over the run; its state carries its gains once P settles."""
     steps = z_x.shape[0] - 1
-    bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
-    p0 = np.diag(scenario.p0_scale * nominal_stacked**2)
+    bdd = _bdd(scenario)
+    p0 = _initial_cov(scenario, nominal_stacked)
     q_tse = np.diag((scenario.tse_q_fraction * nominal_stacked) ** 2)
     state = initial_tse_state(model, x0_est, u0_est, p0)
     x_est = np.zeros((steps + 1, model.n))
@@ -214,7 +216,7 @@ def run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
         process_noise_std=prepared.process_std,
         measurement_std_override=prepared.measurement_std_override,
     )
-    bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
+    bdd = _bdd(scenario)
     state_index = prepared.continuous.state_index
     streams = {}
     estimators = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dsie import estimator, model, pipeline
+from dsie import estimator, linalg, model, pipeline
 from dsie.distributed import (
     AreaEstimator,
     LossyTransport,
@@ -634,6 +634,41 @@ class TestRoundGainsReuse:
         area_rounds = 200 * len(run.per_area_mahalanobis)
         assert len(run.flags) == 201
         assert len(calls) < area_rounds / 2
+
+
+class TestGivenCovariancesOnlyAreValidated:
+    """``linalg.symmetrize_psd`` checks the covariances a run is given: each
+    initial P0, and the tracking Q once per tracking gains computation. The
+    covariances a cycle computes are symmetrized only."""
+
+    def test_runs_validate_only_the_given_covariances(self, monkeypatch):
+        validated, tse_gains_calls = [], []
+        symmetrize, tse_gains = linalg.symmetrize_psd, estimator.tse_gains
+
+        def counted_symmetrize(p):
+            validated.append(1)
+            return symmetrize(p)
+
+        def counted_tse_gains(*args):
+            tse_gains_calls.append(1)
+            return tse_gains(*args)
+
+        monkeypatch.setattr(linalg, "symmetrize_psd", counted_symmetrize)
+        monkeypatch.setattr(estimator, "tse_gains", counted_tse_gains)
+        inputs = ddsie_inputs("fixture4_load_change", drop_rate=0.2, delay_rate=0.1, bdd_policy="hold")
+        _, scenario, prepared, z_x, z_u, x0_est, p0 = inputs
+        pipeline.run_dsie(prepared.model, z_x, z_u, scenario, x0_est, p0)
+        assert len(validated) == 1
+
+        validated.clear()
+        nominal = np.concatenate([prepared.x_nominal, prepared.u_nominal])
+        pipeline.run_tse(prepared.model, z_x, z_u, scenario, x0_est, prepared.u0, nominal)
+        assert len(tse_gains_calls) > 1
+        assert len(validated) == 1 + len(tse_gains_calls)
+
+        validated.clear()
+        run = pipeline.run_ddsie(*inputs)
+        assert len(validated) == len(run.per_area_mahalanobis)
 
 
 class TestFixedRowsOncePerModel:

@@ -1,5 +1,5 @@
 """Numeric kernel tests: WLS, Mahalanobis, ZOH discretization, PSD hygiene,
-and the one-thread OpenBLAS pools that importing dsie sets up."""
+the Kalman measurement update, and the one-thread OpenBLAS pools that importing dsie sets up."""
 
 import json
 import os
@@ -173,6 +173,33 @@ class TestSymmetrizePsd:
         w = np.linalg.eigvalsh(out)
         assert w.min() >= 0.1 - 1e-12
         assert w.max() == pytest.approx(5.0)
+
+
+class TestKalmanUpdate:
+    @pytest.mark.parametrize("n, k, seed", [(1, 1, 0), (4, 2, 1), (6, 6, 2), (9, 3, 3), (5, 12, 4)])
+    def test_matches_the_information_form(self, n, k, seed):
+        # P+ = (P^-1 + H' R^-1 H)^-1 and K = P+ H' R^-1
+        rng = np.random.default_rng(seed)
+        p, r = random_spd(rng, n), random_spd(rng, k)
+        h = rng.normal(size=(k, n))
+        gain, p_next, factor = linalg.kalman_update(p, h, r)
+        r_inv = np.linalg.inv(r)
+        info = np.linalg.inv(np.linalg.inv(p) + h.T @ r_inv @ h)
+        np.testing.assert_allclose(p_next, info, rtol=1e-10)
+        np.testing.assert_allclose(gain, info @ h.T @ r_inv, rtol=1e-10)
+        np.testing.assert_allclose(factor @ factor.T, h @ p @ h.T + r, rtol=1e-10)
+        np.testing.assert_array_equal(p_next, p_next.T)
+
+    def test_no_rows_give_a_zero_gain_and_the_covariance_unchanged(self):
+        p = random_spd(np.random.default_rng(7), 5)
+        gain, p_next, factor = linalg.kalman_update(p, np.zeros((0, 5)), np.zeros((0, 0)))
+        np.testing.assert_array_equal(gain, np.zeros((5, 0)))
+        np.testing.assert_array_equal(p_next, p)
+        assert factor.shape == (0, 0)
+
+    def test_an_innovation_covariance_that_does_not_factor_is_named(self):
+        with pytest.raises(NotPositiveDefinite, match="fusion innovation covariance"):
+            linalg.kalman_update(np.eye(3), np.eye(3)[:2], -2.0 * np.eye(2), "fusion innovation covariance")
 
 
 def _openblas_library(package, pattern):
