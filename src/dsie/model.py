@@ -375,19 +375,27 @@ class RankReport:
     unobservable_inputs: tuple[str, ...]
 
 
+def _numerical_rank(o, s) -> int:
+    """Singular values ``s`` of ``o`` above max(rows, cols) * eps * sigma_max."""
+    tol = max(o.shape) * _EPS * (s[0] if s.size else 0.0)
+    return int(np.sum(s > tol))
+
+
 def check_joint_rank(model: DiscreteModel) -> RankReport:
     """Report whether the joint design has full column rank n + m.
 
     Numerical rank uses the standard SVD heuristic
-    sigma_k > max(rows, cols) * eps * sigma_max.
+    sigma_k > max(rows, cols) * eps * sigma_max on the singular values
+    alone; only a deficient design pays for the full SVD, whose null space
+    names the unobservable inputs.
     """
     o = stacked_design(model)
-    u, s, vt = np.linalg.svd(o)
-    tol = max(o.shape) * _EPS * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
     full = o.shape[1]
+    rank = _numerical_rank(o, np.linalg.svd(o, compute_uv=False))
     bad = []
     if rank < full:
+        _, s, vt = np.linalg.svd(o)
+        rank = _numerical_rank(o, s)
         null = vt[rank:]
         input_pairs = model.input_index
         for iid, (d, q) in input_pairs.items():

@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -298,7 +300,11 @@ def _state_labels(ids):
 
 
 def scenario_hash(scenario: Scenario, network_doc=None) -> str:
-    payload = {"scenario": dataclasses.asdict(scenario), "network": network_doc}
+    return _hash_doc(dataclasses.asdict(scenario), network_doc)
+
+
+def _hash_doc(scenario_doc: dict, network_doc) -> str:
+    payload = {"scenario": scenario_doc, "network": network_doc}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -365,10 +371,11 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
             entry["crosscheck_rejections"] = run.crosscheck_rejections
         methods_report[method] = entry
 
+    scenario_doc = dataclasses.asdict(scenario)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": dataclasses.asdict(scenario),
-        "scenario_hash": scenario_hash(scenario, network_doc),
+        "scenario": scenario_doc,
+        "scenario_hash": _hash_doc(scenario_doc, network_doc),
         "seed": scenario.seed,
         "steps": scenario.steps,
         "methods": methods_report,
@@ -384,21 +391,34 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
     }
 
 
+def _csv_field(text) -> str:
+    """``text`` as the csv module writes it in the middle of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text, ""])
+    return buf.getvalue()[1:-3]
+
+
 def _write_long_csv(path, times, blocks):
-    """Rows (time, variable, value); ``blocks`` is [(labels, array)]."""
+    """Rows (time, variable, value); ``blocks`` is [(labels, array)].
+
+    Rows run time-major, then block, then label. Each label is quoted once
+    per file and each time formatted once per step; a step's rows go out
+    in one write, as csv.writer would write them: CRLF ends and ``repr``
+    of each value.
+    """
+    fields = [f"{_csv_field(lab)}," for labels, _ in blocks for lab in labels]
+    values = np.hstack([arr for _, arr in blocks]).astype(float, copy=False)
+    if values.shape[1] != len(fields):
+        raise ValueError(f"{values.shape[1]} value columns for {len(fields)} labels")
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time", "variable", "value"])
-        for k, t in enumerate(times):
-            for labels, arr in blocks:
-                for j, lab in enumerate(labels):
-                    writer.writerow([repr(float(t)), lab, repr(float(arr[k, j]))])
+        f.write("time,variable,value\r\n")
+        for t, row in zip(np.asarray(times, dtype=float).tolist(), values.tolist()):
+            head = f"{t!r},"
+            f.write("".join([f"{head}{lab}{v!r}\r\n" for lab, v in zip(fields, row)]))
 
 
 def write_outputs(result: dict, outdir) -> None:
     """Write truth.csv, per-method estimate/Mahalanobis CSVs, report.json."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     series = result["series"]
     truth = series["truth"]
