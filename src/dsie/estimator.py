@@ -19,11 +19,25 @@ rows - unknowns degrees of freedom), taken from the same QR. The
 snapshot-WLS and tracking (random-walk) baselines live here as well:
 both read the model's stacked measurement map, and a tracking state
 carries its gains by the same rule.
+
+Gains that depend on no data are shared by every run in the process
+through ``gains_table``, a least-recently-used table of at most
+``_GAINS_CAPACITY`` entries keyed by exact bytes: the model's
+``DiscreteModel.content`` and the covariance the gains are taken at. It
+holds the dsie cycle gains under the alert-only policy (keyed by P_x and
+the bad-data settings), the tracking gains (by P and Q) and the snapshot
+gains (by the bad-data settings). A run that repeats a model, P0 and
+settings therefore computes nothing before its filters settle. Under the
+hold policy dsie's covariance path depends on which steps were flagged,
+and each ddsie area's Kalman half depends on the fusion, so those compute
+their gains as before and never touch the table.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +49,10 @@ from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 from .model import DiscreteModel, check_joint_rank
 
 # Relative eigenvalue floor of the P_x repair in ``joint_wls_gains``.
-_S_CLAMP = 1e-10
+_P_FLOOR = 1e-10
+
+# Entries of the gains table, each the gains of one model at one covariance.
+_GAINS_CAPACITY = 128
 
 
 @dataclass(frozen=True)
@@ -107,7 +124,8 @@ class FilterState:
 
     ``gains`` are the gains of the last cycle, carried while that cycle
     left P_x settled, so they are valid at ``p_x``; None makes the next
-    cycle compute them.
+    cycle compute them, or take them from ``gains_table`` (``dsie_step``
+    under the alert-only policy).
     """
 
     model: DiscreteModel
@@ -173,6 +191,44 @@ def settled(p_next, p) -> bool:
     return p_next is p or float(np.max(np.abs(p_next - p))) <= 1e-14 * float(np.max(np.abs(p)))
 
 
+class _GainsTable:
+    """Gains shared by every run in the process: a least-recently-used map
+    from exact-bytes keys to gains, holding at most ``capacity`` entries.
+
+    Concurrent callers may compute the same gains twice, never see a
+    partial entry, and a computation that raises stores nothing.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def get(self, key, compute):
+        """The gains stored under ``key``, or ``compute()`` stored there."""
+        with self._lock:
+            gains = self._entries.get(key)
+            if gains is not None:
+                self._entries.move_to_end(key)
+                return gains
+        gains = compute()
+        with self._lock:
+            self._entries[key] = gains
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return gains
+
+
+gains_table = _GainsTable(_GAINS_CAPACITY)
+
+
 def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
     """WLS gains from the whitened QR L^{-1} H = Q R, where W = L L' is
     the weight and ``qt_linv`` = Q' L^{-1}.
@@ -227,7 +283,7 @@ def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
     call factors only P_x = L_p L_p' and the (n + k) x (n + m) stack
     [[L_p^{-1}, 0], [R_0]] = Q~ R; the whitened design's Q is
     [Q~_top; Q_0 Q~_bottom]. A P_x that has lost definiteness gets its
-    eigenvalues floored at 1e-10 * max(trace, 1) before the one retry.
+    eigenvalues floored at _P_FLOOR * max(trace, 1) before the one retry.
     """
     n, rows, unknowns = model.n, model.n + model.l + model.p, model.n + model.m
     try:
@@ -238,7 +294,7 @@ def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
         try:
             l_p = linalg.cholesky(p, "P_x")
         except NotPositiveDefinite:
-            p = linalg.clamp_eigenvalues(p, _S_CLAMP * max(np.trace(p), 1.0))
+            p = linalg.clamp_eigenvalues(p, _P_FLOOR * max(np.trace(p), 1.0))
             l_p = linalg.cholesky(p, "P_x")
         p_inv = linalg.triangular_inverse(l_p, lower=True)
         stack = np.zeros((n + fixed.r0.shape[0], unknowns))
@@ -359,17 +415,30 @@ def finish_cycle(
     return replace(state, x_hat=x_hat, p_x=p_x, step=state.step + 1, gains=gains)
 
 
+def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
+    wls = joint_wls_gains(model, p_x, bdd)
+    return CycleGains(wls, kalman_gains(model, wls.cov))
+
+
 def dsie_step(state: FilterState, z_u_prev, z_x_now):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
     The cycle is ``with_wls_gains``, the WLS estimate and screen, and
     ``finish_cycle`` with the Kalman gains the state carries. With the
     "hold" policy a flagged step skips the measurement update and carries
-    the prediction forward; "alert-only" (default) always updates.
+    the prediction forward; "alert-only" (default) always updates, so the
+    covariance path depends on the model, P0 and the bad-data settings
+    only, and a state that carries no gains takes both halves from
+    ``gains_table`` (computing and storing them on a miss).
     """
     model = state.model
     observation = _observation(state, z_u_prev, z_x_now)
-    state = with_wls_gains(state)
+    if state.gains is None and state.bdd.policy == "alert-only":
+        key = (model.content, state.p_x.tobytes(), state.bdd)
+        gains = gains_table.get(key, functools.partial(_cycle_gains, model, state.p_x, state.bdd))
+        state = replace(state, gains=gains)
+    else:
+        state = with_wls_gains(state)
     joint, report = _estimate(state.gains.wls, observation, model.n, state.step)
     held = skips_update(report, state.bdd)
     z_x_now = observation[model.n + model.l :]
@@ -385,10 +454,15 @@ class SnapshotResult:
 
 
 def snapshot_gains(model: DiscreteModel, bdd: BddConfig) -> WlsGains:
-    """Gains of static single-time WLS over stacked (z_x, z_u)."""
-    l, q, rinv, _ = linalg.whitened_qr(*model.measurement_design)
-    linv = linalg.triangular_inverse(l, lower=True)
-    return _finish(q, rinv, linv, q.T @ linv, bdd)
+    """Gains of static single-time WLS over stacked (z_x, z_u), shared
+    through ``gains_table``."""
+
+    def compute():
+        l, q, rinv, _ = linalg.whitened_qr(*model.measurement_design)
+        linv = linalg.triangular_inverse(l, lower=True)
+        return _finish(q, rinv, linv, q.T @ linv, bdd)
+
+    return gains_table.get((model.content, bdd), compute)
 
 
 def wls_snapshot(z_x, z_u, model: DiscreteModel, bdd: BddConfig | None = None) -> SnapshotResult:
@@ -405,7 +479,7 @@ class TseState:
 
     ``gains`` are the last step's gains, carried while that step left P
     settled, so they are valid at ``p`` for the same Q; None makes the next
-    step compute them.
+    step take them from ``gains_table`` or compute them.
     """
 
     y_hat: np.ndarray
@@ -455,14 +529,18 @@ def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddCon
 
     ``q_tse`` is the per-step random-walk process covariance (scalar,
     diagonal vector, or full matrix over the stacked vector). The step uses
-    the gains the state carries, or computes ``tse_gains`` at ``state.p``
-    when it carries none; the next state carries them on while P is settled.
+    the gains the state carries, or takes ``tse_gains`` at ``state.p`` from
+    ``gains_table`` when it carries none; the next state carries them on
+    while P is settled.
     """
     bdd = bdd or BddConfig()
     gains = state.gains
     if gains is None:
-        q = linalg.symmetrize_psd(linalg.as_covariance(q_tse, model.n + model.m))
-        gains = tse_gains(*model.measurement_design, state.p, q)
+        q = linalg.as_covariance(q_tse, model.n + model.m)
+        gains = gains_table.get(
+            (model.content, state.p.tobytes(), q.shape, q.tobytes()),
+            lambda: tse_gains(*model.measurement_design, state.p, linalg.symmetrize_psd(q)),
+        )
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
     innovation = z - gains.h @ state.y_hat
     w = gains.whiten @ innovation

@@ -263,6 +263,16 @@ class DiscreteModel:
         return factor_fixed_rows(self)
 
     @functools.cached_property
+    def content(self) -> tuple:
+        """The dtype, shape and bytes of every matrix the gains read (A_d, B_d,
+        C, D, Q, R_x, R_u), so models of equal content give bit-equal gains;
+        built on first use."""
+        return tuple(
+            (a.dtype.str, a.shape, a.tobytes())
+            for a in (self.a_d, self.b_d, self.c, self.d, self.q, self.r_x, self.r_u)
+        )
+
+    @functools.cached_property
     def measurement_design(self) -> tuple[np.ndarray, np.ndarray]:
         """(block_diag(C, D), block_diag(R_x, R_u)): the map from (x, u) to the
         stacked (z_x, z_u) and that stack's noise covariance; built on first use."""

@@ -620,6 +620,7 @@ class TestRoundGainsReuse:
         assert_series_close(reused.x_hat, ests[0].state.x_hat, 1e-12)
 
     def test_lossless_run_recomputes_local_gains_in_under_half_of_the_rounds(self, monkeypatch):
+        estimator.gains_table.clear()
         calls = []
         gains = estimator.joint_wls_gains
 
@@ -642,6 +643,7 @@ class TestGivenCovariancesOnlyAreValidated:
     covariances a cycle computes are symmetrized only."""
 
     def test_runs_validate_only_the_given_covariances(self, monkeypatch):
+        estimator.gains_table.clear()
         validated, tse_gains_calls = [], []
         symmetrize, tse_gains = linalg.symmetrize_psd, estimator.tse_gains
 
@@ -685,9 +687,10 @@ class TestFixedRowsOncePerModel:
             measurement_std_override=prepared.measurement_std_override,
         )
         for built in [prepared.model] + [a.model for a in areas]:
-            assert not {"fixed_rows", "ab", "measurement_design"} & set(vars(built))
+            assert not {"fixed_rows", "ab", "measurement_design", "content"} & set(vars(built))
 
     def test_lossy_run_factors_each_area_model_once(self, monkeypatch):
+        estimator.gains_table.clear()
         factored, calls = [], []
         factor, gains = model.factor_fixed_rows, estimator.joint_wls_gains
 

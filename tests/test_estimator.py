@@ -1,6 +1,7 @@
 """Estimator cycle tests: joint WLS, bad-data gate, predict/update, baselines."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dsie.estimator import (
     update,
     wls_snapshot,
 )
-from dsie import estimator, pipeline
+from dsie import estimator, linalg, pipeline
 from dsie.errors import DimensionMismatch, RankDeficient
 from dsie.model import DiscreteModel, build_continuous, build_discrete, partition, stacked_design
 from dsie.network import load_network
@@ -707,6 +708,7 @@ class TestGainsReuse:
         x, u, distance, flags = [x0], [], [0.0], [False]
         for k in range(1, z_x.shape[0]):
             state = dataclasses.replace(state, gains=None)  # the per-step cycle
+            estimator.gains_table.clear()
             state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
             x.append(state.x_hat)
             u.append(joint.u_hat)
@@ -734,6 +736,7 @@ class TestGainsReuse:
         np.testing.assert_array_equal(run.thresholds, [r.bdd.threshold for r in rows])
 
     def test_gains_are_recomputed_only_until_p_x_settles(self, monkeypatch):
+        estimator.gains_table.clear()
         calls = []
         gains = estimator.joint_wls_gains
 
@@ -769,6 +772,7 @@ class TestGainsReuse:
         x, u, distance, flags = [x0], [u0], [0.0], [False]
         for k in range(1, z_x.shape[0]):
             state = dataclasses.replace(state, gains=None)  # the per-step update
+            estimator.gains_table.clear()
             state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
             x.append(state.x_part(model))
             u.append(state.u_part(model))
@@ -780,6 +784,7 @@ class TestGainsReuse:
         np.testing.assert_array_equal(run.flags, flags)
 
     def test_tse_gains_are_recomputed_only_until_p_settles(self, monkeypatch):
+        estimator.gains_table.clear()
         calls = []
         gains = estimator.tse_gains
 
@@ -792,3 +797,173 @@ class TestGainsReuse:
         pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal)
         assert z_x.shape[0] - 1 == 500
         assert len(calls) <= 25  # P reaches its fixed point in about 19 steps
+
+
+SERIES = ("x_est", "u_est", "mahalanobis", "flags")
+GAINS_OF = {
+    "dsie": (estimator, "joint_wls_gains"),
+    "tse": (estimator, "tse_gains"),
+    "wls": (linalg, "whitened_qr"),
+}
+
+
+def count_gains(monkeypatch):
+    """Count the gains computations of dsie, tse and wls by method."""
+    counts = dict.fromkeys(GAINS_OF, 0)
+    for method, (owner, name) in GAINS_OF.items():
+        compute = getattr(owner, name)
+
+        def counted(*args, _method=method, _compute=compute):
+            counts[_method] += 1
+            return _compute(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def series_of(runs):
+    return {(run.name, f): getattr(run, f) for run in runs for f in SERIES}
+
+
+def assert_same_series(actual, expected):
+    assert actual.keys() == expected.keys()
+    for key in expected:
+        np.testing.assert_array_equal(actual[key], expected[key], err_msg=str(key))
+
+
+def scenario_series(topology, scenario):
+    result = pipeline.run_scenario(topology, scenario)
+    return series_of(result["series"]["runs"].values())
+
+
+def method_inputs(model=None, **changes):
+    """dsie's, wls's and tse's inputs on 100 steps of the fixture4 load
+    change, with ``model`` in place of the scenario's when given."""
+    name = "fixture4_load_change"
+    scenario, built, z_x, z_u, x0, p0 = scenario_streams(
+        name, duration=0.1, load_events=(), **changes
+    )
+    prepared = pipeline.prepare(load_network(bundled_network_path(scenario.network)), scenario)
+    nominal = np.concatenate([prepared.x_nominal, prepared.u_nominal])
+    return model or built, scenario, z_x, z_u, x0, p0, prepared.u0, nominal
+
+
+def method_series(model, scenario, z_x, z_u, x0, p0, u0, nominal):
+    return series_of(
+        [
+            pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0),
+            pipeline.run_wls(model, z_x, z_u, scenario),
+            pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal),
+        ]
+    )
+
+
+def nudged(model, name):
+    """``model`` with its largest entry of matrix ``name`` moved up by one ulp."""
+    a = getattr(model, name).copy()
+    i = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    a[i] = np.nextafter(a[i], np.inf)
+    return dataclasses.replace(model, **{name: a})
+
+
+class TestSharedGains:
+    """``estimator.gains_table`` shares the data-independent gains between
+    runs of an equal model, and between nothing else."""
+
+    @pytest.mark.parametrize("name", ["fixture4_load_change", "example13_load_change"])
+    def test_a_second_seed_computes_no_gains_and_matches_a_cold_run(self, name, monkeypatch):
+        scenario = dataclasses.replace(
+            load_scenario(bundled_scenario_path(name)), estimators=("dsie", "wls", "tse")
+        )
+        topology = load_network(bundled_network_path(scenario.network))
+        estimator.gains_table.clear()
+        pipeline.run_scenario(topology, dataclasses.replace(scenario, seed=1))
+        counts = count_gains(monkeypatch)
+        warm = scenario_series(topology, dataclasses.replace(scenario, seed=2))
+        assert counts == dict.fromkeys(GAINS_OF, 0)
+        estimator.gains_table.clear()
+        cold = scenario_series(topology, dataclasses.replace(scenario, seed=2))
+        assert min(counts.values()) > 0
+        assert_same_series(warm, cold)
+
+    @pytest.mark.parametrize(
+        "matrix, changes, computes",
+        [(m, {}, {"dsie", "wls", "tse"}) for m in ("a_d", "b_d", "c", "d", "q", "r_x", "r_u")]
+        + [
+            (None, {"p0_scale": 20.0}, {"dsie", "tse"}),
+            (None, {"bdd_alpha": 0.05}, {"dsie", "wls"}),
+            (None, {"bdd_zeta": 6.0}, {"dsie", "wls"}),
+            (None, {"tse_q_fraction": 2e-3}, {"tse"}),
+        ],
+    )
+    def test_any_change_the_gains_read_computes_them_afresh(self, matrix, changes, computes, monkeypatch):
+        base = method_inputs()
+        model = nudged(base[0], matrix) if matrix else None
+        inputs = method_inputs(model, **changes)
+        estimator.gains_table.clear()
+        method_series(*base)
+        counts = count_gains(monkeypatch)
+        shared = method_series(*inputs)
+        assert {m for m, c in counts.items() if c} == computes
+        estimator.gains_table.clear()
+        assert_same_series(shared, method_series(*inputs))
+
+    def test_hold_leaves_the_table_untouched_and_matches_the_step_loop(self, monkeypatch):
+        scenario, model, z_x, z_u, x0, p0 = scenario_streams(
+            "fixture4_attack", bdd_policy="hold", bdd_zeta=5.0
+        )
+        # Any lookup in an empty table misses and stores what it computes.
+        table = estimator._GainsTable(estimator._GAINS_CAPACITY)
+        monkeypatch.setattr(estimator, "gains_table", table)
+        run = pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)
+        state = initial_state(model, x0, p0, pipeline._bdd(scenario))
+        x = [x0]
+        for k in range(1, z_x.shape[0]):
+            state, _, _ = dsie_step(dataclasses.replace(state, gains=None), z_u[k - 1], z_x[k])
+            x.append(state.x_hat)
+        assert len(table) == 0
+        assert 0 < run.flags.sum() < len(x) - 1
+        assert_series_close(run.x_est, x)
+
+    def test_the_table_holds_at_most_its_capacity(self, monkeypatch):
+        small = estimator._GainsTable(4)
+        monkeypatch.setattr(estimator, "gains_table", small)
+        inputs = method_inputs()
+        cold = method_series(*inputs)
+        assert len(small) == small.capacity
+        assert_same_series(method_series(*inputs), cold)
+        assert len(small) == small.capacity
+
+    def test_the_table_evicts_the_least_recently_used_and_stores_no_failure(self):
+        table = estimator._GainsTable(2)
+        table.get("a", lambda: 1)
+        table.get("b", lambda: 2)
+        assert table.get("a", lambda: 0) == 1  # a hit keeps "a" the most recent
+        table.get("c", lambda: 3)
+        assert table.get("b", lambda: 4) == 4  # "b" was evicted
+
+        def fails():
+            raise RankDeficient("rank deficient", rank=0)
+
+        with pytest.raises(RankDeficient):
+            table.get("d", fails)
+        assert len(table) == 2 and table.get("d", lambda: 5) == 5
+
+    def test_concurrent_callers_never_raise(self):
+        table = estimator._GainsTable(3)
+        errors = []
+
+        def hammer(offset):
+            try:
+                for i in range(2000):
+                    key = (i + offset) % 5
+                    assert table.get(key, lambda: key) == key
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [] and len(table) <= 3
