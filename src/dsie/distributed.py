@@ -10,15 +10,25 @@ cycle (``estimator.finish_cycle``). A missing or rejected message degrades
 to local-only estimation for that neighbor; nothing aborts the round. An
 area reuses its local WLS gains while its P_x is settled, and its fusion
 and Kalman gains while the fusion inputs are also those of the last round.
+
+A run's rounds are clean while, in every round so far, each area got each
+neighbor's message for that step and accepted every coordinate. Under the
+alert-only policy the covariance path of a clean run depends on the
+models, P0 and the bad-data settings only, so its areas share their gains
+with every later run through ``estimator.gains_table``, as dsie does: the
+WLS gains (``estimator.with_shared_gains``) and the fusion and Kalman
+gains. From the first unclean round on, the run's areas compute them
+alone. An area with no neighbors runs dsie's cycle exactly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import estimator, linalg
 from .errors import CoordinateMismatch, NotPositiveDefinite
 from .estimator import (
     BddConfig,
@@ -30,6 +40,7 @@ from .estimator import (
     finish_cycle,
     initial_state,
     skips_update,
+    with_shared_gains,
     with_wls_gains,
 )
 from .model import AreaModel
@@ -90,18 +101,29 @@ class CrossCheckReport:
 class AreaEstimator:
     """Single-owner estimator for one area.
 
-    ``fusion`` is the last round's fusion inputs with the ``FusionGains``
-    they gave (None when nothing was fused); see ``run_round``.
+    ``fusion`` is the last round's (WLS gains, fusion inputs,
+    ``FusionGains`` or None, Kalman gains); see ``_fuse_reusing``.
+    ``clean`` says whether every round of the area's run so far was clean
+    (module docstring).
     """
 
     area: AreaModel
     state: FilterState
     kappa: float = 3.0
     fusion: tuple | None = None
+    clean: bool = True
 
     @property
     def area_id(self) -> str:
         return self.area.area_id
+
+    @property
+    def shares(self) -> bool:
+        """Whether the area takes its gains from ``estimator.gains_table``:
+        under the alert-only policy, while its run's rounds are clean, its
+        covariance path depends on the models, P0 and the bad-data settings
+        only."""
+        return self.clean and self.state.bdd.policy == "alert-only"
 
 
 def make_area_estimator(area: AreaModel, x0, p0, bdd: BddConfig | None = None, kappa: float = 3.0):
@@ -111,24 +133,27 @@ def make_area_estimator(area: AreaModel, x0, p0, bdd: BddConfig | None = None, k
 def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
     """Run the local joint estimation and build one message per neighbor.
 
-    The state keeps the WLS gains it is given by ``with_wls_gains`` for the
-    rest of the round.
+    The state takes its WLS gains here, once per round, and keeps them for
+    the rest of the round: from ``with_shared_gains`` while the area
+    shares, from ``with_wls_gains`` otherwise.
     """
-    est.state = with_wls_gains(est.state)
+    if est.shares:
+        est.state = with_shared_gains(est.state, fuses=bool(est.area.neighbors))
+    else:
+        est.state = with_wls_gains(est.state)
     joint, report = estimate_input(est.state, z_u_prev, z_x_now)
     messages = {}
-    n = est.area.model.n
+    flag = (bool(report.flagged),)
     for neighbor in est.area.neighbors:
-        pairs = est.area.shared_inputs[neighbor]
-        local_idx = [n + li for li, _ in pairs]
+        shared = est.area.shared_index[neighbor]
         messages[neighbor] = ShareMessage(
             sender=est.area_id,
             recipient=neighbor,
             step=est.state.step,
             coordinate_ids=est.area.shared_coordinates[neighbor],
-            u_shared=joint.u_hat[[li for li, _ in pairs]],
-            p_shared=joint.cov[np.ix_(local_idx, local_idx)],
-            flags=tuple(bool(report.flagged) for _ in pairs),
+            u_shared=joint.u_hat[shared.u],
+            p_shared=joint.cov[shared.block],
+            flags=flag * shared.u.shape[0],
         )
     return joint, report, messages
 
@@ -146,18 +171,15 @@ def cross_check(local: JointEstimate, msg: ShareMessage, area: AreaModel, kappa:
             f"message coordinates {msg.coordinate_ids!r} do not match the "
             f"share map with {msg.sender!r}"
         )
-    if msg.u_shared.shape[0] != len(pairs) or msg.p_shared.shape != (len(pairs), len(pairs)):
+    k = len(pairs)
+    if msg.u_shared.shape[0] != k or msg.p_shared.shape != (k, k) or len(msg.flags) != k:
         raise CoordinateMismatch("share message sizes inconsistent with coordinate list")
-    n = area.model.n
-    local_idx = [li for li, _ in pairs]
-    local_u = local.u_hat[local_idx]
-    local_var = np.diag(local.cov)[[n + li for li in local_idx]]
-    msg_var = np.diag(msg.p_shared)
-    difference = np.abs(local_u - msg.u_shared)
-    threshold = kappa * np.sqrt(np.maximum(local_var + msg_var, 0.0))
-    accept = tuple(
-        bool(difference[i] <= threshold[i] and not msg.flags[i]) for i in range(len(pairs))
-    )
+    shared = area.shared_index[msg.sender]
+    difference = np.abs(local.u_hat[shared.u] - msg.u_shared)
+    variance = local.cov[shared.stacked, shared.stacked] + np.diag(msg.p_shared)
+    threshold = kappa * np.sqrt(np.maximum(variance, 0.0))
+    within = (difference <= threshold).tolist()
+    accept = tuple(ok and not flag for ok, flag in zip(within, msg.flags))
     return CrossCheckReport(
         coordinate_ids=msg.coordinate_ids,
         difference=difference,
@@ -172,29 +194,37 @@ class FusionGains:
     """Fusion of neighbor values z of the stacked (x, u) coordinates
     ``idx``: fused = y + gain (z - y[idx]) with covariance ``cov``."""
 
-    idx: list[int]
+    idx: np.ndarray
     gain: np.ndarray
     cov: np.ndarray
+
+
+def _fusion_update(u, idx, p_nb):
+    hu = u[idx]  # H U for H = the rows idx of the identity
+    s = hu[:, idx] + p_nb
+    factor = linalg.cholesky(0.5 * (s + s.T), "fusion innovation covariance")
+    gain = linalg.cho_solve(factor, hu).T
+    fused = u - gain @ hu
+    return gain, 0.5 * (fused + fused.T)
 
 
 def fusion_gains(cov, idx, p_nb) -> FusionGains:
     """Gains of fusing measurements of the coordinates ``idx``, with noise
     covariance ``p_nb``, into an estimate with covariance U = ``cov``.
 
-    The fusion is the measurement update (``linalg.kalman_update``) of U by
-    H = the rows ``idx`` of the identity: with S = U[idx, idx] + p_nb and
-    K = U[:, idx] S^-1 the fused covariance is (I - K H) U, the same as the
-    stacked WLS solution, from one k x k factorization for k fused
-    coordinates. If S cannot be factored, U's eigenvalues are floored at
-    1e-12 * max(trace, 1) before the one retry.
+    The fusion is the measurement update of U by H = the rows ``idx`` of
+    the identity, the same as the stacked WLS solution: with
+    S = U[idx, idx] + p_nb and K = U[:, idx] S^-1 the fused covariance is
+    U - K U[idx, :], from one k x k factorization for k fused coordinates,
+    in O(d^2 k) for U of size d. If S cannot be factored, U's eigenvalues
+    are floored at 1e-12 * max(trace, 1) before the one retry.
     """
     u = 0.5 * (cov + cov.T)
-    h = np.eye(u.shape[0])[idx]
     try:
-        gain, fused, _ = linalg.kalman_update(u, h, p_nb, "fusion innovation covariance")
+        gain, fused = _fusion_update(u, idx, p_nb)
     except NotPositiveDefinite:  # the local covariance lost definiteness
         u = linalg.clamp_eigenvalues(u, 1e-12 * max(np.trace(u), 1.0))
-        gain, fused, _ = linalg.kalman_update(u, h, p_nb, "fusion innovation covariance")
+        gain, fused = _fusion_update(u, idx, p_nb)
     return FusionGains(idx=idx, gain=gain, cov=fused)
 
 
@@ -205,24 +235,32 @@ def apply_fusion(gains: FusionGains, local: JointEstimate, z) -> JointEstimate:
     return JointEstimate(x_hat=fused[:n], u_hat=fused[n:], cov=gains.cov, step=local.step)
 
 
-def _fusion_inputs(accepted, area: AreaModel, n: int):
+def _fusion_inputs(accepted, area: AreaModel):
     """(idx, z, p_nb) of the accepted coordinates: the stacked (x, u)
     positions they measure, the neighbors' values, and the block diagonal
     of the neighbors' covariance blocks."""
     idx, values, blocks = [], [], []
     for msg, mask in accepted:
-        pairs = area.shared_inputs[msg.sender]
-        keep = [i for i, ok in enumerate(mask) if ok]
-        idx.extend(n + pairs[i][0] for i in keep)
-        values.append(msg.u_shared[keep])
-        blocks.append(msg.p_shared[np.ix_(keep, keep)])
-    p_nb = np.zeros((len(idx), len(idx)))
+        stacked = area.shared_index[msg.sender].stacked
+        if all(mask):
+            idx.append(stacked)
+            values.append(msg.u_shared)
+            blocks.append(msg.p_shared)
+        else:
+            keep = np.flatnonzero(mask)
+            idx.append(stacked[keep])
+            values.append(msg.u_shared[keep])
+            blocks.append(msg.p_shared[np.ix_(keep, keep)])
+    if not idx:
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 0))
+    idx = np.concatenate(idx)
+    p_nb = np.zeros((idx.shape[0], idx.shape[0]))
     at = 0
     for block in blocks:
         k = block.shape[0]
         p_nb[at : at + k, at : at + k] = block
         at += k
-    return idx, np.concatenate(values) if values else np.zeros(0), p_nb
+    return idx, np.concatenate(values), p_nb
 
 
 def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
@@ -233,30 +271,46 @@ def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
     covariance block as noise (``fusion_gains``). With no accepted
     coordinates the local estimate is returned unchanged.
     """
-    idx, z, p_nb = _fusion_inputs(accepted, area, local.n)
-    if not idx:
+    idx, z, p_nb = _fusion_inputs(accepted, area)
+    if not idx.size:
         return local
     return apply_fusion(fusion_gains(local.cov, idx, p_nb), local, z)
 
 
-def _fuse_reusing(est: AreaEstimator, local: JointEstimate, accepted, held: bool):
-    """``fuse`` for ``run_round``: reuses the last round's gains while the
-    fusion inputs repeat.
+def _fusion_and_kalman(model, cov, idx, p_nb):
+    """The fusion gains at local covariance ``cov`` and the Kalman gains of
+    the fused covariance (the local one when nothing is fused)."""
+    gains = fusion_gains(cov, idx, p_nb) if idx.size else None
+    return gains, estimator.kalman_gains(model, cov if gains is None else gains.cov)
 
-    The inputs are the local WLS gains, the accepted coordinates, the
-    neighbors' covariance blocks (bit for bit) and the held flag. The local
-    WLS gains are the last round's exactly when the state still carries
-    that round's Kalman gains, since ``local_phase`` leaves the Kalman half
-    None when it computes new ones. Returns (fused, the Kalman gains of its
-    covariance, or None when they must be computed).
+
+def _fuse_reusing(est: AreaEstimator, local: JointEstimate, accepted, held: bool):
+    """``fuse`` for ``run_round``; returns (fused, the Kalman gains of its
+    covariance, or None when ``finish_cycle`` must compute them).
+
+    An area with no neighbors runs dsie's cycle: nothing is fused, and the
+    Kalman gains are those the state carries. Any other area reuses the
+    last round's gains while the fusion inputs repeat: the same local WLS
+    gains (the same object), the same accepted coordinates, the neighbors'
+    covariance blocks bit for bit and the same held flag. Otherwise, while
+    the area shares, it takes them from ``estimator.gains_table`` keyed by
+    the model, the local covariance, ``idx`` and the neighbor blocks.
     """
-    idx, z, p_nb = _fusion_inputs(accepted, est.area, local.n)
-    key = (tuple(idx), p_nb.tobytes(), held)
-    kalman = est.state.gains.kalman
-    if kalman is None or est.fusion is None or est.fusion[0] != key:
-        est.fusion = (key, fusion_gains(local.cov, idx, p_nb) if idx else None)
-        kalman = None
-    gains = est.fusion[1]
+    if not est.area.neighbors:
+        return local, est.state.gains.kalman
+    idx, z, p_nb = _fusion_inputs(accepted, est.area)
+    wls = est.state.gains.wls
+    inputs = (idx.tobytes(), p_nb.tobytes(), held)
+    if est.fusion is None or est.fusion[0] is not wls or est.fusion[1] != inputs:
+        model = est.area.model
+        compute = functools.partial(_fusion_and_kalman, model, local.cov, idx, p_nb)
+        if est.shares:
+            key = (model.content, local.cov.tobytes(), inputs[0], inputs[1])
+            gains = estimator.gains_table.get(key, compute)
+        else:
+            gains = compute()
+        est.fusion = (wls, inputs, *gains)
+    _, _, gains, kalman = est.fusion
     return (local if gains is None else apply_fusion(gains, local, z)), kalman
 
 
@@ -320,6 +374,9 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
 
     ``measurements`` maps area id -> (z_u_prev, z_x_now). Returns a dict of
     per-area RoundResult and mutates each estimator's state in place.
+    Every area cross-checks its messages before any area fuses, so whether
+    the round is clean (module docstring) is known when the areas take
+    their fusion gains.
     """
     transport = transport or Transport()
     by_id = {e.area_id: e for e in estimators}
@@ -343,10 +400,10 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
         if msg.recipient in inbox:
             inbox[msg.recipient][msg.sender] = msg
 
-    results: dict[str, RoundResult] = {}
+    checked = []
+    clean = True
     for est in estimators:
         aid = est.area_id
-        joint = locals_[aid]
         accepted = []
         checks: dict[str, CrossCheckReport] = {}
         missing = []
@@ -355,9 +412,18 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
             if msg is None or msg.step != est.state.step:
                 missing.append(neighbor)
                 continue
-            check = cross_check(joint, msg, est.area, est.kappa)
+            check = cross_check(locals_[aid], msg, est.area, est.kappa)
             checks[neighbor] = check
             accepted.append((msg, check.accept))
+            clean = clean and all(check.accept)
+        clean = clean and not missing
+        checked.append((accepted, checks, tuple(missing)))
+
+    results: dict[str, RoundResult] = {}
+    for est, (accepted, checks, missing) in zip(estimators, checked):
+        aid = est.area_id
+        est.clean = est.clean and clean
+        joint = locals_[aid]
         held = skips_update(reports[aid], est.state.bdd)
         fused, kalman = _fuse_reusing(est, joint, accepted, held)
         new_state = finalize_phase(est, fused, measurements[aid][1], held, kalman)
@@ -368,6 +434,6 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
             joint_fused=fused,
             bdd=reports[aid],
             cross_checks=checks,
-            missing_neighbors=tuple(missing),
+            missing_neighbors=missing,
         )
     return results

@@ -5,7 +5,7 @@ state and input from (previous estimate, previous input measurements,
 current state measurements), bad-data screening of that system's
 residual, prediction through the discrete model, and a Kalman
 measurement update (``linalg.kalman_update``, the update the tracking
-baseline and the multi-area fusion use too). Every matrix of the cycle depends on the model, P_x
+baseline uses too). Every matrix of the cycle depends on the model, P_x
 and the bad-data settings only. The cycle is written once, as two halves
 that ``dsie_step`` and each area of ``distributed.run_round`` call:
 ``with_wls_gains`` gives the state its WLS gains, and ``finish_cycle``
@@ -21,16 +21,19 @@ both read the model's stacked measurement map, and a tracking state
 carries its gains by the same rule.
 
 Gains that depend on no data are shared by every run in the process
-through ``gains_table``, a least-recently-used table of at most
-``_GAINS_CAPACITY`` entries keyed by exact bytes: the model's
+through ``gains_table``, a least-recently-used table whose entries' arrays
+hold at most ``_GAINS_BUDGET`` bytes, keyed by exact bytes: the model's
 ``DiscreteModel.content`` and the covariance the gains are taken at. It
 holds the dsie cycle gains under the alert-only policy (keyed by P_x and
-the bad-data settings), the tracking gains (by P and Q) and the snapshot
-gains (by the bad-data settings). A run that repeats a model, P0 and
-settings therefore computes nothing before its filters settle. Under the
-hold policy dsie's covariance path depends on which steps were flagged,
-and each ddsie area's Kalman half depends on the fusion, so those compute
-their gains as before and never touch the table.
+the bad-data settings, ``with_shared_gains``), the tracking gains (by P
+and Q), the snapshot gains (by the bad-data settings), and a ddsie area's
+gains while every round of its run is clean (``distributed.run_round``).
+A run that repeats a model, P0 and settings therefore computes nothing
+before its filters settle, or its first lost message or rejection. Under
+the hold policy dsie's covariance path depends on which steps were
+flagged, and after a ddsie run's first unclean round each area's path
+depends on the fusion, so those compute their gains as before and never
+touch the table.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -51,8 +54,9 @@ from .model import DiscreteModel, check_joint_rank
 # Relative eigenvalue floor of the P_x repair in ``joint_wls_gains``.
 _P_FLOOR = 1e-10
 
-# Entries of the gains table, each the gains of one model at one covariance.
-_GAINS_CAPACITY = 128
+# Bytes of the arrays the gains table holds: the whole example13 mix of dsie,
+# wls, tse and ddsie stores about 10 MiB.
+_GAINS_BUDGET = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,8 @@ class FilterState:
 
     ``gains`` are the gains of the last cycle, carried while that cycle
     left P_x settled, so they are valid at ``p_x``; None makes the next
-    cycle compute them, or take them from ``gains_table`` (``dsie_step``
-    under the alert-only policy).
+    cycle compute them, or take them from ``gains_table``
+    (``with_shared_gains``).
     """
 
     model: DiscreteModel
@@ -176,7 +180,8 @@ class KalmanGains:
 class CycleGains:
     """Every matrix of one estimation cycle; a function of (model, P_x, bdd).
 
-    The Kalman half is None from ``with_wls_gains`` until ``finish_cycle``
+    The Kalman half is None from ``with_wls_gains`` (and from
+    ``with_shared_gains`` for a cycle that fuses) until ``finish_cycle``
     fills it in. In the per-area cycle it is taken from the fused
     covariance, so it also depends on the fusion inputs (see
     ``distributed.run_round``).
@@ -191,17 +196,30 @@ def settled(p_next, p) -> bool:
     return p_next is p or float(np.max(np.abs(p_next - p))) <= 1e-14 * float(np.max(np.abs(p)))
 
 
+def _array_bytes(value) -> int:
+    """Bytes of the arrays in ``value``: an array, or a tuple or dataclass of them."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(_array_bytes(v) for v in value)
+    if is_dataclass(value):
+        return sum(_array_bytes(getattr(value, f.name)) for f in fields(value))
+    return 0
+
+
 class _GainsTable:
     """Gains shared by every run in the process: a least-recently-used map
-    from exact-bytes keys to gains, holding at most ``capacity`` entries.
+    from exact-bytes keys to gains whose arrays hold at most ``budget``
+    bytes together.
 
     Concurrent callers may compute the same gains twice, never see a
     partial entry, and a computation that raises stores nothing.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries = OrderedDict()
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries = OrderedDict()  # key -> (gains, their array bytes)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -210,23 +228,30 @@ class _GainsTable:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self.nbytes = 0
 
     def get(self, key, compute):
         """The gains stored under ``key``, or ``compute()`` stored there."""
         with self._lock:
-            gains = self._entries.get(key)
-            if gains is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
-                return gains
+                return entry[0]
         gains = compute()
+        size = _array_bytes(gains)
         with self._lock:
-            self._entries[key] = gains
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self.nbytes -= replaced[1]
+            self._entries[key] = (gains, size)
+            self.nbytes += size
+            while self.nbytes > self.budget:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self.nbytes -= evicted
         return gains
 
 
-gains_table = _GainsTable(_GAINS_CAPACITY)
+gains_table = _GainsTable(_GAINS_BUDGET)
 
 
 def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
@@ -365,10 +390,12 @@ def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate
 
     Stacks the previous estimate, the previous input measurements and the
     current state measurements over the design [[I,0],[0,D],[C A_d, C B_d]]
-    with weight diag(P_x, R_u, C Q C' + R_x), using ``with_wls_gains``.
+    with weight diag(P_x, R_u, C Q C' + R_x), using the WLS gains the
+    state carries, or ``with_wls_gains`` when it carries none.
     """
     observation = _observation(state, z_u_prev, z_x_now)
-    return _estimate(with_wls_gains(state).gains.wls, observation, state.model.n, state.step)
+    gains = state.gains or with_wls_gains(state).gains
+    return _estimate(gains.wls, observation, state.model.n, state.step)
 
 
 def predict(joint: JointEstimate, model: DiscreteModel):
@@ -415,9 +442,28 @@ def finish_cycle(
     return replace(state, x_hat=x_hat, p_x=p_x, step=state.step + 1, gains=gains)
 
 
-def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
+def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool) -> CycleGains:
     wls = joint_wls_gains(model, p_x, bdd)
-    return CycleGains(wls, kalman_gains(model, wls.cov))
+    return CycleGains(wls, None if fuses else kalman_gains(model, wls.cov))
+
+
+def with_shared_gains(state: FilterState, fuses: bool = False) -> FilterState:
+    """``with_wls_gains`` for a state whose covariance path depends on the
+    model, P0 and the bad-data settings only: one that carries no gains
+    takes them from ``gains_table`` under (content, P_x bytes, bdd), where
+    a miss computes and stores them.
+
+    The entry holds the cycle's Kalman half too, unless the cycle ``fuses``
+    neighbor estimates between its halves (a ``ddsie`` area with
+    neighbors), which makes that half depend on the fusion. A cycle that
+    finds no Kalman half computes it in ``finish_cycle``, and a fusing one
+    ignores it, so an entry serves either.
+    """
+    if state.gains is not None:
+        return state
+    key = (state.model.content, state.p_x.tobytes(), state.bdd)
+    compute = functools.partial(_cycle_gains, state.model, state.p_x, state.bdd, fuses)
+    return replace(state, gains=gains_table.get(key, compute))
 
 
 def dsie_step(state: FilterState, z_u_prev, z_x_now):
@@ -428,15 +474,12 @@ def dsie_step(state: FilterState, z_u_prev, z_x_now):
     "hold" policy a flagged step skips the measurement update and carries
     the prediction forward; "alert-only" (default) always updates, so the
     covariance path depends on the model, P0 and the bad-data settings
-    only, and a state that carries no gains takes both halves from
-    ``gains_table`` (computing and storing them on a miss).
+    only, and the state takes its gains from ``with_shared_gains``.
     """
     model = state.model
     observation = _observation(state, z_u_prev, z_x_now)
-    if state.gains is None and state.bdd.policy == "alert-only":
-        key = (model.content, state.p_x.tobytes(), state.bdd)
-        gains = gains_table.get(key, functools.partial(_cycle_gains, model, state.p_x, state.bdd))
-        state = replace(state, gains=gains)
+    if state.bdd.policy == "alert-only":
+        state = with_shared_gains(state)
     else:
         state = with_wls_gains(state)
     joint, report = _estimate(state.gains.wls, observation, model.n, state.step)

@@ -434,6 +434,28 @@ class AreaModel:
     def neighbors(self):
         return tuple(sorted(self.shared_inputs))
 
+    @functools.cached_property
+    def shared_index(self) -> dict[str, SharedIndex]:
+        """Each neighbor's shared inputs as index arrays into this area's
+        estimate (``SharedIndex``); built on first use."""
+        out = {}
+        for neighbor, pairs in self.shared_inputs.items():
+            u = np.array([li for li, _ in pairs], dtype=np.intp)
+            stacked = self.model.n + u
+            out[neighbor] = SharedIndex(u=u, stacked=stacked, block=np.ix_(stacked, stacked))
+        return out
+
+
+@dataclass(frozen=True)
+class SharedIndex:
+    """Where one neighbor's shared inputs sit in an area's estimate: ``u``
+    indexes the input estimate, ``stacked`` the stacked (x, u) vector, and
+    ``block`` (``np.ix_(stacked, stacked)``) their joint covariance block."""
+
+    u: np.ndarray
+    stacked: np.ndarray
+    block: tuple[np.ndarray, np.ndarray]
+
 
 def _area_topology(topology: NetworkTopology, area_id: str, spec) -> NetworkTopology:
     bus_set = set(spec.buses)

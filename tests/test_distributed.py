@@ -485,19 +485,23 @@ class TestFinalizePhase:
         (area,) = partition(
             fixture4, T_S, process_noise_std=0.1, areas=whole_area(fixture4), shared_buses=()
         )
-        rng = np.random.default_rng(31)
-        z_u = rng.normal(size=area.model.l)
-        z_x = rng.normal(size=area.model.p)
-        est = make_area_estimator(area, np.zeros(area.model.n), 1.0)
-        results = run_round([est], {"all": (z_u, z_x)})
-
         central = build_discrete(fixture4, T_S, process_noise_std=0.1)
-        ref_state, ref_joint, _ = dsie_step(
-            initial_state(central, np.zeros(central.n), 1.0), z_u, z_x
-        )
-        np.testing.assert_array_equal(results["all"].state.x_hat, ref_state.x_hat)
-        np.testing.assert_array_equal(results["all"].state.p_x, ref_state.p_x)
-        np.testing.assert_array_equal(results["all"].joint_fused.u_hat, ref_joint.u_hat)
+        rng = np.random.default_rng(31)
+        measurements = [
+            (rng.normal(size=area.model.l), rng.normal(size=area.model.p)) for _ in range(30)
+        ]
+        for warm in (False, True):  # a cold table, then the one the first pass filled
+            if not warm:
+                estimator.gains_table.clear()
+            est = make_area_estimator(area, np.zeros(area.model.n), 1.0)
+            ref_state = initial_state(central, np.zeros(central.n), 1.0)
+            for z_u, z_x in measurements:
+                results = run_round([est], {"all": (z_u, z_x)})
+                ref_state, ref_joint, _ = dsie_step(ref_state, z_u, z_x)
+                np.testing.assert_array_equal(results["all"].state.x_hat, ref_state.x_hat)
+                np.testing.assert_array_equal(results["all"].state.p_x, ref_state.p_x)
+                np.testing.assert_array_equal(results["all"].joint_fused.u_hat, ref_joint.u_hat)
+            assert est.state.gains is not None  # the area settled and carries its gains
 
 
 def ddsie_inputs(name, **changes):
@@ -516,7 +520,8 @@ def ddsie_inputs(name, **changes):
 
 
 def clear_gains(estimators):
-    """Make the next round compute every gain afresh."""
+    """Make the next round compute every gain afresh, sharing none."""
+    estimator.gains_table.clear()
     for est in estimators:
         est.state = dataclasses.replace(est.state, gains=None)
         est.fusion = None
@@ -618,6 +623,31 @@ class TestRoundGainsReuse:
         run_round(ests, meas(60))
         assert_series_close(reused.p_x, ests[0].state.p_x, 1e-12)
         assert_series_close(reused.x_hat, ests[0].state.x_hat, 1e-12)
+
+    @pytest.mark.parametrize("area_id", ["east", "west"])
+    def test_a_shared_round_takes_no_gains_of_other_fusion_inputs(self, fixture4, area_id):
+        # One area's P0 differs between two runs: its neighbors fuse other
+        # covariance blocks at an equal local covariance.
+        _, streams = truth_and_streams(fixture4, steps=1, seed=7)
+        meas = {aid: (streams[aid][3][0], streams[aid][2][1]) for aid in streams}
+
+        def first_round(p0):
+            ests = [
+                make_area_estimator(area, local.x[0], p0 if area.area_id == area_id else 1.0)
+                for area, local, _, _ in streams.values()
+            ]
+            results = run_round(ests, meas)
+            assert all(e.clean for e in ests)
+            return results
+
+        estimator.gains_table.clear()
+        first_round(1.0)
+        warm = first_round(2.0)
+        estimator.gains_table.clear()
+        cold = first_round(2.0)
+        for aid, result in cold.items():
+            np.testing.assert_array_equal(warm[aid].state.p_x, result.state.p_x)
+            np.testing.assert_array_equal(warm[aid].state.x_hat, result.state.x_hat)
 
     def test_lossless_run_recomputes_local_gains_in_under_half_of_the_rounds(self, monkeypatch):
         estimator.gains_table.clear()

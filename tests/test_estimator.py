@@ -913,7 +913,7 @@ class TestSharedGains:
             "fixture4_attack", bdd_policy="hold", bdd_zeta=5.0
         )
         # Any lookup in an empty table misses and stores what it computes.
-        table = estimator._GainsTable(estimator._GAINS_CAPACITY)
+        table = estimator._GainsTable(estimator._GAINS_BUDGET)
         monkeypatch.setattr(estimator, "gains_table", table)
         run = pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)
         state = initial_state(model, x0, p0, pipeline._bdd(scenario))
@@ -925,39 +925,52 @@ class TestSharedGains:
         assert 0 < run.flags.sum() < len(x) - 1
         assert_series_close(run.x_est, x)
 
-    def test_the_table_holds_at_most_its_capacity(self, monkeypatch):
-        small = estimator._GainsTable(4)
+    def test_the_table_holds_at_most_its_budget(self, monkeypatch):
+        small = estimator._GainsTable(64 * 1024)
         monkeypatch.setattr(estimator, "gains_table", small)
         inputs = method_inputs()
         cold = method_series(*inputs)
-        assert len(small) == small.capacity
+        assert 0 < small.nbytes <= small.budget
         assert_same_series(method_series(*inputs), cold)
-        assert len(small) == small.capacity
+        assert 0 < small.nbytes <= small.budget
 
-    def test_the_table_evicts_the_least_recently_used_and_stores_no_failure(self):
-        table = estimator._GainsTable(2)
-        table.get("a", lambda: 1)
-        table.get("b", lambda: 2)
-        assert table.get("a", lambda: 0) == 1  # a hit keeps "a" the most recent
-        table.get("c", lambda: 3)
-        assert table.get("b", lambda: 4) == 4  # "b" was evicted
+    def test_the_table_evicts_the_least_recently_used_by_bytes_and_stores_no_failure(self):
+        table = estimator._GainsTable(32)
+        table.get("a", lambda: np.zeros(2))  # 16 bytes
+        table.get("b", lambda: (np.zeros(1), None))  # 8 bytes
+        assert table.get("a", lambda: np.ones(2))[0] == 0  # a hit keeps "a" the most recent
+        table.get("c", lambda: np.zeros(2))  # 40 bytes held: "b" goes, then 32
+        assert table.nbytes == 32 and table.get("b", lambda: np.ones(1))[0] == 1
+        assert table.nbytes == 24 and len(table) == 2  # "b" in, "a" out
+        table.get("d", lambda: np.zeros(5))  # larger than the budget: kept by no one
+        assert table.nbytes == 0 and len(table) == 0
 
         def fails():
             raise RankDeficient("rank deficient", rank=0)
 
         with pytest.raises(RankDeficient):
-            table.get("d", fails)
-        assert len(table) == 2 and table.get("d", lambda: 5) == 5
+            table.get("e", fails)
+        assert len(table) == 0 and table.get("e", lambda: np.full(1, 5.0))[0] == 5
+
+    def test_entries_are_sized_by_their_arrays(self):
+        model = method_inputs()[0]
+        gains = estimator._cycle_gains(model, np.eye(model.n), BddConfig(), fuses=False)
+        wls, kalman = gains.wls, gains.kalman
+        expected = sum(a.nbytes for a in (wls.wls, wls.cov, wls.whiten))
+        expected += sum(a.nbytes for a in (kalman.ab, kalman.p_pred, kalman.gain, kalman.p_next))
+        table = estimator._GainsTable(10 * expected)
+        table.get("k", lambda: gains)
+        assert table.nbytes == expected
 
     def test_concurrent_callers_never_raise(self):
-        table = estimator._GainsTable(3)
+        table = estimator._GainsTable(3 * 8)
         errors = []
 
         def hammer(offset):
             try:
                 for i in range(2000):
                     key = (i + offset) % 5
-                    assert table.get(key, lambda: key) == key
+                    assert table.get(key, lambda: np.full(1, float(key)))[0] == key
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -966,4 +979,104 @@ class TestSharedGains:
             t.start()
         for t in threads:
             t.join()
-        assert errors == [] and len(table) <= 3
+        assert errors == [] and len(table) <= 3 and table.nbytes == 8 * len(table)
+
+
+def ddsie_scenario(name, **changes):
+    """(topology, scenario) of a bundled scenario that runs ddsie alone."""
+    scenario = dataclasses.replace(
+        load_scenario(bundled_scenario_path(name)), estimators=("ddsie",), **changes
+    )
+    return load_network(bundled_network_path(scenario.network)), scenario
+
+
+def ddsie_series(topology, scenario):
+    run = pipeline.run_scenario(topology, scenario)["series"]["runs"]["ddsie"]
+    series = series_of([run])
+    series.update({("ddsie", aid): d for aid, d in run.per_area_mahalanobis.items()})
+    series[("ddsie", "rejections")] = np.array(
+        [[r["step"], r["difference"], r["threshold"]] for r in run.crosscheck_rejections]
+    )
+    return series
+
+
+def track_ddsie_rounds(monkeypatch):
+    """Make each of ``pipeline.run_ddsie``'s rounds append to the returned
+    lists: its areas, whether the run's rounds were all clean after it, and
+    the table's size after it."""
+    log = {"areas": [], "clean": [], "sizes": []}
+    run_round = pipeline.run_round
+
+    def tracked(estimators, measurements, transport=None):
+        results = run_round(estimators, measurements, transport)
+        log["areas"].append(estimators)
+        log["clean"].append(all(e.clean for e in estimators))
+        log["sizes"].append(len(estimator.gains_table))
+        return results
+
+    monkeypatch.setattr(pipeline, "run_round", tracked)
+    return log
+
+
+class TestSharedDdsieGains:
+    """ddsie areas share their gains through ``estimator.gains_table`` while
+    every round of their run is clean, under the alert-only policy only."""
+
+    @pytest.mark.parametrize(
+        "name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
+    )
+    def test_a_second_seed_computes_no_gains_while_clean_and_matches_a_cold_run(
+        self, name, monkeypatch
+    ):
+        topology, scenario = ddsie_scenario(name)
+        estimator.gains_table.clear()
+        pipeline.run_scenario(topology, dataclasses.replace(scenario, seed=1))
+        rounds = track_ddsie_rounds(monkeypatch)
+        computed = {True: 0, False: 0}  # by whether the run's rounds were clean so far
+        for compute_name in ("joint_wls_gains", "kalman_gains"):
+            compute = getattr(estimator, compute_name)
+
+            def counted(*args, _compute=compute):
+                areas = rounds["areas"]
+                computed[not areas or all(e.clean for e in areas[-1])] += 1
+                return _compute(*args)
+
+            monkeypatch.setattr(estimator, compute_name, counted)
+        seed2 = dataclasses.replace(scenario, seed=2)
+        warm = ddsie_series(topology, seed2)
+        assert computed[True] == 0
+        estimator.gains_table.clear()
+        rounds["areas"].clear()
+        cold = ddsie_series(topology, seed2)
+        assert computed[True] > 0
+        assert_same_series(warm, cold)
+
+    def test_a_run_adds_no_entries_after_its_first_unclean_round(self, monkeypatch):
+        topology, scenario = ddsie_scenario("example13_load_change", seed=3)
+        estimator.gains_table.clear()
+        rounds = track_ddsie_rounds(monkeypatch)
+        pipeline.run_scenario(topology, scenario)
+        clean, sizes = rounds["clean"], rounds["sizes"]
+        first = clean.index(False)
+        assert 0 < first < len(clean) - 1 and sizes[first - 1] > 0
+        assert set(sizes[first:]) == {sizes[first]}
+
+    def test_a_lossy_hold_run_leaves_the_table_untouched(self, monkeypatch):
+        table = estimator._GainsTable(estimator._GAINS_BUDGET)
+        monkeypatch.setattr(estimator, "gains_table", table)
+        topology, scenario = ddsie_scenario(
+            "fixture4_load_change", drop_rate=0.2, delay_rate=0.1, bdd_policy="hold"
+        )
+        pipeline.run_scenario(topology, scenario)
+        assert len(table) == 0
+
+    def test_dsie_entries_survive_an_example13_mix_under_the_budget(self, monkeypatch):
+        table = estimator._GainsTable(estimator._GAINS_BUDGET)
+        monkeypatch.setattr(estimator, "gains_table", table)
+        topology, scenario = ddsie_scenario("example13_load_change")
+        for method in ("dsie", "wls", "tse", "ddsie"):
+            pipeline.run_scenario(topology, dataclasses.replace(scenario, estimators=(method,)))
+        assert table.nbytes <= table.budget
+        counts = count_gains(monkeypatch)
+        pipeline.run_scenario(topology, dataclasses.replace(scenario, estimators=("dsie",), seed=2))
+        assert counts["dsie"] == 0
