@@ -20,6 +20,15 @@ snapshot-WLS and tracking (random-walk) baselines live here as well:
 both read the model's stacked measurement map, and a tracking state
 carries its gains by the same rule.
 
+A step's data work is written apart from its gains: ``apply_wls``,
+``apply_kalman`` and ``apply_tse``, which the steps call. Once a dsie state
+carries settled gains (``carries_settled_gains``: both halves, with P_x
+their updated covariance), or a tracking state carries any, every later
+step that updates is a fixed linear map of the data, so
+``pipeline.run_dsie`` and ``pipeline.run_tse`` loop over those three
+functions for the rest of the run instead of calling ``dsie_step`` and
+``tse_step``; the outputs are bit-identical.
+
 Gains that depend on no data are shared by every run in the process
 through ``gains_table``, a least-recently-used table whose entries' arrays
 hold at most ``_GAINS_BUDGET`` bytes, keyed by exact bytes: the model's
@@ -354,10 +363,10 @@ def kalman_gains(model: DiscreteModel, cov) -> KalmanGains:
     return KalmanGains(ab, p_pred, gain, p_next)
 
 
-def apply_kalman(gains: KalmanGains, model: DiscreteModel, joint: JointEstimate, z_x_now, held: bool):
-    """Predict the joint estimate forward, then update with ``z_x_now``
-    unless the step is held; returns (x_hat, p_x)."""
-    x_pred = gains.ab @ np.concatenate([joint.x_hat, joint.u_hat])
+def apply_kalman(gains: KalmanGains, model: DiscreteModel, estimate, z_x_now, held: bool):
+    """Predict the stacked joint estimate [x; u] forward, then update with
+    ``z_x_now`` unless the step is held; returns (x_hat, p_x)."""
+    x_pred = gains.ab @ estimate
     if held:
         return x_pred, gains.p_pred
     return x_pred + gains.gain @ (z_x_now - model.c @ x_pred), gains.p_next
@@ -433,13 +442,22 @@ def finish_cycle(
     model = state.model
     if kalman is None:
         kalman = kalman_gains(model, joint.cov)
-    x_hat, p_x = apply_kalman(kalman, model, joint, z_x_now, held)
+    estimate = np.concatenate([joint.x_hat, joint.u_hat])
+    x_hat, p_x = apply_kalman(kalman, model, estimate, z_x_now, held)
     gains = state.gains
     if gains is None or not settled(p_x, state.p_x):
         gains = None
     elif kalman is not gains.kalman:
         gains = CycleGains(gains.wls, kalman)
     return replace(state, x_hat=x_hat, p_x=p_x, step=state.step + 1, gains=gains)
+
+
+def carries_settled_gains(state: FilterState) -> bool:
+    """Whether every later cycle of ``state`` that updates reuses its gains
+    and leaves P_x as it is: the state carries both halves of its gains and
+    its P_x is their updated covariance, not a held step's prediction."""
+    gains = state.gains
+    return gains is not None and gains.kalman is not None and state.p_x is gains.kalman.p_next
 
 
 def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool) -> CycleGains:
@@ -567,6 +585,14 @@ def tse_gains(h, r, p, q) -> TseGains:
     return TseGains(h=h, gain=gain, whiten=whiten, p_next=p_next)
 
 
+def apply_tse(gains: TseGains, y_hat, z):
+    """The tracking update of ``y_hat`` with observation ``z``: the next
+    estimate and the squared Mahalanobis distance of the innovation."""
+    innovation = z - gains.h @ y_hat
+    w = gains.whiten @ innovation
+    return y_hat + gains.gain @ innovation, w @ w
+
+
 def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddConfig | None = None):
     """Random-walk tracking update over (x, u); returns (state, report).
 
@@ -585,10 +611,8 @@ def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddCon
             lambda: tse_gains(*model.measurement_design, state.p, linalg.symmetrize_psd(q)),
         )
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
-    innovation = z - gains.h @ state.y_hat
-    w = gains.whiten @ innovation
+    y_hat, squared = apply_tse(gains, state.y_hat, z)
     dof = gains.h.shape[0]
-    report = _report(np.sqrt(w @ w), bdd.threshold(dof), dof)
-    y_hat = state.y_hat + gains.gain @ innovation
+    report = _report(np.sqrt(squared), bdd.threshold(dof), dof)
     carried = gains if settled(gains.p_next, state.p) else None
     return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1, gains=carried), report

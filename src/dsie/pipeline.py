@@ -14,7 +14,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,10 @@ from .distributed import LossyTransport, Transport, make_area_estimator, run_rou
 from .errors import SingularAtSteadyState
 from .estimator import (
     BddConfig,
+    apply_kalman,
+    apply_tse,
     apply_wls,
+    carries_settled_gains,
     dsie_step,
     initial_state,
     initial_tse_state,
@@ -136,25 +139,76 @@ def _bdd(scenario: Scenario) -> BddConfig:
     return BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
 
 
+def _empty_run(name, steps, n, m) -> MethodRun:
+    return MethodRun(
+        name,
+        np.zeros((steps + 1, n)),
+        np.zeros((steps + 1, m)),
+        np.zeros(steps + 1),
+        np.zeros(steps + 1),
+        np.zeros(steps + 1, dtype=bool),
+    )
+
+
+def _settled_dsie(state, rows, start, run: MethodRun):
+    """Steps ``start``.. of a dsie run whose state carries settled gains
+    (``estimator.carries_settled_gains``), written into ``run``.
+
+    Row ``k - 1`` of ``rows`` is (z_u[k-1], z_x[k]). A step is the data work
+    of ``dsie_step`` and nothing else: the WLS estimate and screen, then the
+    Kalman apply, with the same operations in the same order. Under "hold"
+    the loop stops before a flagged step, whose held update un-settles P_x.
+    Returns the state after the last step taken and the first step not
+    taken.
+    """
+    model, gains = state.model, state.gains
+    threshold = gains.wls.threshold
+    hold = state.bdd.policy == "hold"
+    x = state.x_hat
+    k = start
+    while k <= rows.shape[0]:
+        row = rows[k - 1]
+        estimate, run.mahalanobis[k] = apply_wls(gains.wls, np.concatenate([x, row]))
+        if hold and run.mahalanobis[k] >= threshold:
+            break
+        run.u_est[k - 1] = estimate[model.n :]
+        x = run.x_est[k] = apply_kalman(gains.kalman, model, estimate, row[model.l :], False)[0]
+        k += 1
+    run.thresholds[start:k] = threshold
+    run.flags[start:k] = run.mahalanobis[start:k] >= threshold
+    return replace(state, x_hat=x, step=state.step + k - start), k
+
+
 def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
-    """Centralized cycle over the run; the filter state reuses its gains once P_x settles."""
+    """Centralized cycle over the run.
+
+    Each step is a ``dsie_step`` until the state carries settled gains
+    (``estimator.carries_settled_gains``); from there ``_settled_dsie``
+    applies those gains to the remaining rows in one loop, bit for bit as
+    the steps would. Under "hold" a flagged step goes back to ``dsie_step``,
+    and the loop resumes once P_x settles again. The rows the run reads are
+    validated once, up front.
+    """
     steps = z_x.shape[0] - 1
+    rows = linalg.as_matrix(np.hstack([z_u[:steps], z_x[1:]]), "measurements")
     state = initial_state(model, x0_est, p0, _bdd(scenario))
-    x_est = np.zeros((steps + 1, model.n))
-    u_est = np.zeros((steps + 1, model.m))
-    mahal = np.zeros(steps + 1)
-    thresholds = np.zeros(steps + 1)
-    flags = np.zeros(steps + 1, dtype=bool)
-    x_est[0] = x0_est
-    for k in range(1, steps + 1):
+    run = _empty_run("dsie", steps, model.n, model.m)
+    run.x_est[0] = x0_est
+    k = 1
+    while k <= steps:
+        if carries_settled_gains(state):
+            state, k = _settled_dsie(state, rows, k, run)
+            if k > steps:
+                break
         state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
-        x_est[k] = state.x_hat
-        u_est[k - 1] = joint.u_hat
-        mahal[k] = report.distance
-        thresholds[k] = report.threshold
-        flags[k] = report.flagged
-    u_est[steps] = u_est[steps - 1] if steps else 0.0
-    return MethodRun("dsie", x_est, u_est, mahal, thresholds, flags)
+        run.x_est[k] = state.x_hat
+        run.u_est[k - 1] = joint.u_hat
+        run.mahalanobis[k] = report.distance
+        run.thresholds[k] = report.threshold
+        run.flags[k] = report.flagged
+        k += 1
+    run.u_est[steps] = run.u_est[steps - 1] if steps else 0.0
+    return run
 
 
 def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
@@ -172,27 +226,46 @@ def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
 
 
 def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked) -> MethodRun:
-    """Tracking filter over the run; its state carries its gains once P settles."""
+    """Tracking filter over the run.
+
+    Each step is a ``tse_step`` until the state carries its gains. Their
+    updated covariance is then the state's P, so they hold for the rest of
+    the run, and ``estimator.apply_tse`` applies them to the remaining rows
+    in one loop, bit for bit as the steps would; the distances' square
+    roots, thresholds and flags of those rows are taken at once after it.
+    The rows the run reads are validated once, up front.
+    """
     steps = z_x.shape[0] - 1
+    rows = linalg.as_matrix(np.hstack([z_x[1:], z_u[1 : steps + 1]]), "measurements")
     bdd = _bdd(scenario)
     p0 = _initial_cov(scenario, nominal_stacked)
     q_tse = np.diag((scenario.tse_q_fraction * nominal_stacked) ** 2)
     state = initial_tse_state(model, x0_est, u0_est, p0)
-    x_est = np.zeros((steps + 1, model.n))
-    u_est = np.zeros((steps + 1, model.m))
-    mahal = np.zeros(steps + 1)
-    thresholds = np.zeros(steps + 1)
-    flags = np.zeros(steps + 1, dtype=bool)
-    x_est[0] = x0_est
-    u_est[0] = u0_est
-    for k in range(1, steps + 1):
+    run = _empty_run("tse", steps, model.n, model.m)
+    run.x_est[0] = x0_est
+    run.u_est[0] = u0_est
+    k = 1
+    while k <= steps and state.gains is None:
         state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
-        x_est[k] = state.x_part(model)
-        u_est[k] = state.u_part(model)
-        mahal[k] = report.distance
-        thresholds[k] = report.threshold
-        flags[k] = report.flagged
-    return MethodRun("tse", x_est, u_est, mahal, thresholds, flags)
+        run.x_est[k] = state.x_part(model)
+        run.u_est[k] = state.u_part(model)
+        run.mahalanobis[k] = report.distance
+        run.thresholds[k] = report.threshold
+        run.flags[k] = report.flagged
+        k += 1
+    if k <= steps:
+        gains, y = state.gains, state.y_hat
+        estimates = np.empty((steps + 1 - k, y.shape[0]))
+        squared = run.mahalanobis[k:]
+        for j, z in enumerate(rows[k - 1 :]):
+            y, squared[j] = apply_tse(gains, y, z)
+            estimates[j] = y
+        run.x_est[k:] = estimates[:, : model.n]
+        run.u_est[k:] = estimates[:, model.n :]
+        np.sqrt(squared, out=squared)
+        run.thresholds[k:] = bdd.threshold(gains.h.shape[0])
+        run.flags[k:] = squared >= run.thresholds[k:]
+    return run
 
 
 def _rows_by_label(labels, central_labels):

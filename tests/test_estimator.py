@@ -799,6 +799,112 @@ class TestGainsReuse:
         assert len(calls) <= 25  # P reaches its fixed point in about 19 steps
 
 
+SCENARIOS = ("fixture4_load_change", "fixture4_attack", "example13_load_change")
+POLICIES = ({}, {"bdd_policy": "hold"}, {"bdd_policy": "hold", "bdd_zeta": 5.0})
+
+
+def run_inputs(name, **changes):
+    """(scenario, model, z_x, z_u, x0, p0, u0, nominal): both filters' inputs."""
+    scenario, model, z_x, z_u, x0, p0 = scenario_streams(name, **changes)
+    prepared = pipeline.prepare(load_network(bundled_network_path(scenario.network)), scenario)
+    nominal = np.concatenate([prepared.x_nominal, prepared.u_nominal])
+    return scenario, model, z_x, z_u, x0, p0, prepared.u0, nominal
+
+
+def run_method(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
+    if method == "dsie":
+        return pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)
+    return pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal)
+
+
+def step_loop(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
+    """The run as one ``dsie_step``/``tse_step`` per step, gains carried:
+    its series, and the step after which the state first carries settled
+    gains (None if it never does)."""
+    bdd = pipeline._bdd(scenario)
+    if method == "dsie":
+        state = initial_state(model, x0, p0, bdd)
+        settled = estimator.carries_settled_gains
+    else:
+        state = initial_tse_state(model, x0, u0, np.diag(scenario.p0_scale * nominal**2))
+        q_tse = np.diag((scenario.tse_q_fraction * nominal) ** 2)
+
+        def settled(s):
+            return s.gains is not None
+
+    x, distance, thresholds, flags = [x0], [0.0], [0.0], [False]
+    u = [] if method == "dsie" else [u0]
+    first_settled = None
+    for k in range(1, z_x.shape[0]):
+        if method == "dsie":
+            state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
+            x.append(state.x_hat)
+            u.append(joint.u_hat)  # dsie's input estimate at k is that of step k - 1
+        else:
+            state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
+            x.append(state.x_part(model))
+            u.append(state.u_part(model))
+        distance.append(report.distance)
+        thresholds.append(report.threshold)
+        flags.append(report.flagged)
+        if first_settled is None and settled(state):
+            first_settled = k
+    if method == "dsie":
+        u.append(u[-1])
+    series = {"x_est": x, "u_est": u, "mahalanobis": distance}
+    return {**series, "thresholds": thresholds, "flags": flags}, first_settled
+
+
+class TestSettledLoop:
+    """Once a dsie or tse state carries settled gains, run_dsie and run_tse apply
+    them to the remaining rows in one loop: the outputs are those of one
+    full step per row, bit for bit, and the steps stop early."""
+
+    @pytest.mark.parametrize("changes", POLICIES, ids=["alert-only", "hold", "hold-zeta5"])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("method", ["dsie", "tse"])
+    def test_runs_equal_the_step_loop_bit_for_bit(self, method, name, changes):
+        inputs = run_inputs(name, **changes)
+        estimator.gains_table.clear()
+        cold = run_method(method, *inputs)
+        warm = run_method(method, *inputs)
+        estimator.gains_table.clear()
+        expected, _ = step_loop(method, *inputs)
+        for run in (cold, warm):
+            for key, values in expected.items():
+                np.testing.assert_array_equal(getattr(run, key), np.asarray(values), err_msg=key)
+        if changes.get("bdd_policy") == "hold" and method == "dsie":
+            assert 0 < cold.flags.sum() < len(cold.flags) - 1
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("method", ["dsie", "tse"])
+    def test_steps_run_only_until_the_gains_settle(self, monkeypatch, method, name):
+        inputs = run_inputs(name)
+        _, first_settled = step_loop(method, *inputs)
+        step = getattr(pipeline, f"{method}_step")
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(pipeline, f"{method}_step", counted)
+        estimator.gains_table.clear()
+        run_method(method, *inputs)
+        assert len(calls) == first_settled
+        assert 0 < first_settled < 50 and inputs[2].shape[0] - 1 >= 300  # the loop takes nearly all
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stream", [2, 3])  # z_x, z_u
+    @pytest.mark.parametrize("method", ["dsie", "tse"])
+    def test_a_bad_row_after_the_gains_settle_raises(self, method, stream, bad):
+        inputs = list(run_inputs("fixture4_load_change"))
+        inputs[stream] = inputs[stream].copy()
+        inputs[stream][400, 0] = bad  # both filters settle within 50 steps
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            run_method(method, *inputs)
+
+
 SERIES = ("x_est", "u_est", "mahalanobis", "flags")
 GAINS_OF = {
     "dsie": (estimator, "joint_wls_gains"),
