@@ -45,8 +45,6 @@ from .estimator import (
 )
 from .model import AreaModel
 
-SHARE_MESSAGE_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ShareMessage:
@@ -59,33 +57,6 @@ class ShareMessage:
     u_shared: np.ndarray
     p_shared: np.ndarray
     flags: tuple[bool, ...]
-
-    def to_dict(self) -> dict:
-        """Versioned wire form (JSON-compatible) for interoperability."""
-        return {
-            "version": SHARE_MESSAGE_VERSION,
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "step": self.step,
-            "coordinate_ids": list(self.coordinate_ids),
-            "u_shared": [float(v) for v in self.u_shared],
-            "p_shared": [[float(v) for v in row] for row in self.p_shared],
-            "flags": [bool(f) for f in self.flags],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ShareMessage":
-        if doc.get("version") != SHARE_MESSAGE_VERSION:
-            raise CoordinateMismatch(f"unsupported share message version {doc.get('version')!r}")
-        return cls(
-            sender=doc["sender"],
-            recipient=doc["recipient"],
-            step=int(doc["step"]),
-            coordinate_ids=tuple(doc["coordinate_ids"]),
-            u_shared=np.asarray(doc["u_shared"], dtype=float),
-            p_shared=np.asarray(doc["p_shared"], dtype=float),
-            flags=tuple(bool(f) for f in doc["flags"]),
-        )
 
 
 @dataclass(frozen=True)

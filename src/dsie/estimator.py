@@ -7,8 +7,9 @@ residual, prediction through the discrete model, and a Kalman
 measurement update (``linalg.kalman_update``, the update the tracking
 baseline uses too). Every matrix of the cycle depends on the model, P_x
 and the bad-data settings only. The cycle is written once, as two halves
-that ``dsie_step`` and each area of ``distributed.run_round`` call:
-``with_wls_gains`` gives the state its WLS gains, and ``finish_cycle``
+that ``dsie_step`` and each area of ``distributed.run_round`` call: the
+state gets its WLS gains (``cycle_gains`` in ``dsie_step``, which takes
+both halves at once; ``with_wls_gains`` in an area), and ``finish_cycle``
 predicts, updates and carries the gains on while the cycle leaves P_x
 unchanged (``settled``), so a settled filter stops computing them. The
 rows of the joint design whose weight does not depend on P_x are
@@ -21,20 +22,20 @@ both read the model's stacked measurement map, and a tracking state
 carries its gains by the same rule.
 
 A step's data work is written apart from its gains: ``apply_wls``,
-``apply_kalman`` and ``apply_tse``, which the steps call. Once a dsie state
-carries settled gains (``carries_settled_gains``: both halves, with P_x
-their updated covariance), or a tracking state carries any, every later
-step that updates is a fixed linear map of the data, so
-``pipeline.run_dsie`` and ``pipeline.run_tse`` loop over those three
-functions for the rest of the run instead of calling ``dsie_step`` and
-``tse_step``; the outputs are bit-identical.
+``apply_kalman`` and ``apply_tse``. ``dsie_step`` and ``tse_step`` call
+them with the gains their state carries, or with ``cycle_gains`` and
+``tse_gains_at`` when it carries none. ``pipeline.run_dsie`` and
+``pipeline.run_tse`` are one loop each over the same functions, carrying
+the gains by the same rule, so their outputs are bit-identical to one
+step per row; once the gains settle, a step is a fixed linear map of the
+data.
 
 Gains that depend on no data are shared by every run in the process
 through ``gains_table``, a least-recently-used table whose entries' arrays
 hold at most ``_GAINS_BUDGET`` bytes, keyed by exact bytes: the model's
 ``DiscreteModel.content`` and the covariance the gains are taken at. It
 holds the dsie cycle gains under the alert-only policy (keyed by P_x and
-the bad-data settings, ``with_shared_gains``), the tracking gains (by P
+the bad-data settings, ``cycle_gains``), the tracking gains (by P
 and Q), the snapshot gains (by the bad-data settings), and a ddsie area's
 gains while every round of its run is clean (``distributed.run_round``).
 A run that repeats a model, P0 and settings therefore computes nothing
@@ -137,8 +138,8 @@ class FilterState:
 
     ``gains`` are the gains of the last cycle, carried while that cycle
     left P_x settled, so they are valid at ``p_x``; None makes the next
-    cycle compute them, or take them from ``gains_table``
-    (``with_shared_gains``).
+    cycle compute them, or take them from ``gains_table`` (``cycle_gains``,
+    ``with_shared_gains``).
     """
 
     model: DiscreteModel
@@ -452,54 +453,62 @@ def finish_cycle(
     return replace(state, x_hat=x_hat, p_x=p_x, step=state.step + 1, gains=gains)
 
 
-def carries_settled_gains(state: FilterState) -> bool:
-    """Whether every later cycle of ``state`` that updates reuses its gains
-    and leaves P_x as it is: the state carries both halves of its gains and
-    its P_x is their updated covariance, not a held step's prediction."""
-    gains = state.gains
-    return gains is not None and gains.kalman is not None and state.p_x is gains.kalman.p_next
-
-
-def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool) -> CycleGains:
+def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool = False) -> CycleGains:
     wls = joint_wls_gains(model, p_x, bdd)
     return CycleGains(wls, None if fuses else kalman_gains(model, wls.cov))
+
+
+def _shared_cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool) -> CycleGains:
+    """The cycle gains stored in ``gains_table`` under (content, P_x bytes,
+    bdd), where a miss computes and stores them."""
+    key = (model.content, p_x.tobytes(), bdd)
+    return gains_table.get(key, functools.partial(_cycle_gains, model, p_x, bdd, fuses))
 
 
 def with_shared_gains(state: FilterState, fuses: bool = False) -> FilterState:
     """``with_wls_gains`` for a state whose covariance path depends on the
     model, P0 and the bad-data settings only: one that carries no gains
-    takes them from ``gains_table`` under (content, P_x bytes, bdd), where
-    a miss computes and stores them.
+    takes them from ``gains_table``.
 
     The entry holds the cycle's Kalman half too, unless the cycle ``fuses``
     neighbor estimates between its halves (a ``ddsie`` area with
     neighbors), which makes that half depend on the fusion. A cycle that
-    finds no Kalman half computes it in ``finish_cycle``, and a fusing one
-    ignores it, so an entry serves either.
+    finds no Kalman half computes it, and a fusing one ignores it, so an
+    entry serves either.
     """
     if state.gains is not None:
         return state
-    key = (state.model.content, state.p_x.tobytes(), state.bdd)
-    compute = functools.partial(_cycle_gains, state.model, state.p_x, state.bdd, fuses)
-    return replace(state, gains=gains_table.get(key, compute))
+    return replace(state, gains=_shared_cycle_gains(state.model, state.p_x, state.bdd, fuses))
+
+
+def cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
+    """Both halves of a dsie cycle's gains at P_x.
+
+    Under "alert-only" the covariance path depends on the model, P0 and the
+    bad-data settings only, so they come from ``gains_table``; under "hold"
+    it depends on which steps were flagged, and they are computed.
+    """
+    if bdd.policy != "alert-only":
+        return _cycle_gains(model, p_x, bdd)
+    gains = _shared_cycle_gains(model, p_x, bdd, fuses=False)
+    if gains.kalman is None:  # stored by a fusing ddsie area
+        gains = CycleGains(gains.wls, kalman_gains(model, gains.wls.cov))
+    return gains
 
 
 def dsie_step(state: FilterState, z_u_prev, z_x_now):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
-    The cycle is ``with_wls_gains``, the WLS estimate and screen, and
-    ``finish_cycle`` with the Kalman gains the state carries. With the
-    "hold" policy a flagged step skips the measurement update and carries
-    the prediction forward; "alert-only" (default) always updates, so the
-    covariance path depends on the model, P0 and the bad-data settings
-    only, and the state takes its gains from ``with_shared_gains``.
+    The cycle is the WLS estimate and screen with the gains the state
+    carries, or ``cycle_gains`` at its P_x when it carries none, then
+    ``finish_cycle``. With the "hold" policy a flagged step skips the
+    measurement update and carries the prediction forward; "alert-only"
+    (default) always updates.
     """
     model = state.model
     observation = _observation(state, z_u_prev, z_x_now)
-    if state.bdd.policy == "alert-only":
-        state = with_shared_gains(state)
-    else:
-        state = with_wls_gains(state)
+    if state.gains is None:
+        state = replace(state, gains=cycle_gains(model, state.p_x, state.bdd))
     joint, report = _estimate(state.gains.wls, observation, model.n, state.step)
     held = skips_update(report, state.bdd)
     z_x_now = observation[model.n + model.l :]
@@ -585,6 +594,15 @@ def tse_gains(h, r, p, q) -> TseGains:
     return TseGains(h=h, gain=gain, whiten=whiten, p_next=p_next)
 
 
+def tse_gains_at(model: DiscreteModel, p, q) -> TseGains:
+    """``tse_gains`` of the model's stacked measurement map at P and the
+    random-walk covariance Q, taken from ``gains_table``."""
+    return gains_table.get(
+        (model.content, p.tobytes(), q.shape, q.tobytes()),
+        lambda: tse_gains(*model.measurement_design, p, linalg.symmetrize_psd(q)),
+    )
+
+
 def apply_tse(gains: TseGains, y_hat, z):
     """The tracking update of ``y_hat`` with observation ``z``: the next
     estimate and the squared Mahalanobis distance of the innovation."""
@@ -598,18 +616,13 @@ def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddCon
 
     ``q_tse`` is the per-step random-walk process covariance (scalar,
     diagonal vector, or full matrix over the stacked vector). The step uses
-    the gains the state carries, or takes ``tse_gains`` at ``state.p`` from
-    ``gains_table`` when it carries none; the next state carries them on
-    while P is settled.
+    the gains the state carries, or ``tse_gains_at`` at ``state.p`` when it
+    carries none; the next state carries them on while P is settled.
     """
     bdd = bdd or BddConfig()
     gains = state.gains
     if gains is None:
-        q = linalg.as_covariance(q_tse, model.n + model.m)
-        gains = gains_table.get(
-            (model.content, state.p.tobytes(), q.shape, q.tobytes()),
-            lambda: tse_gains(*model.measurement_design, state.p, linalg.symmetrize_psd(q)),
-        )
+        gains = tse_gains_at(model, state.p, linalg.as_covariance(q_tse, model.n + model.m))
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
     y_hat, squared = apply_tse(gains, state.y_hat, z)
     dof = gains.h.shape[0]

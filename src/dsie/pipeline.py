@@ -14,7 +14,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,13 @@ from .estimator import (
     apply_kalman,
     apply_tse,
     apply_wls,
-    carries_settled_gains,
-    dsie_step,
+    cycle_gains,
+    dsie_step,  # noqa: F401  unused; the tracer test asserts pipeline.dsie_step is estimator.dsie_step
     initial_state,
     initial_tse_state,
+    settled,
     snapshot_gains,
-    tse_step,
+    tse_gains_at,
 )
 from .metrics import false_alarm_rate, mean_mse, mse_per_variable
 from .model import (
@@ -150,63 +151,38 @@ def _empty_run(name, steps, n, m) -> MethodRun:
     )
 
 
-def _settled_dsie(state, rows, start, run: MethodRun):
-    """Steps ``start``.. of a dsie run whose state carries settled gains
-    (``estimator.carries_settled_gains``), written into ``run``.
-
-    Row ``k - 1`` of ``rows`` is (z_u[k-1], z_x[k]). A step is the data work
-    of ``dsie_step`` and nothing else: the WLS estimate and screen, then the
-    Kalman apply, with the same operations in the same order. Under "hold"
-    the loop stops before a flagged step, whose held update un-settles P_x.
-    Returns the state after the last step taken and the first step not
-    taken.
-    """
-    model, gains = state.model, state.gains
-    threshold = gains.wls.threshold
-    hold = state.bdd.policy == "hold"
-    x = state.x_hat
-    k = start
-    while k <= rows.shape[0]:
-        row = rows[k - 1]
-        estimate, run.mahalanobis[k] = apply_wls(gains.wls, np.concatenate([x, row]))
-        if hold and run.mahalanobis[k] >= threshold:
-            break
-        run.u_est[k - 1] = estimate[model.n :]
-        x = run.x_est[k] = apply_kalman(gains.kalman, model, estimate, row[model.l :], False)[0]
-        k += 1
-    run.thresholds[start:k] = threshold
-    run.flags[start:k] = run.mahalanobis[start:k] >= threshold
-    return replace(state, x_hat=x, step=state.step + k - start), k
-
-
 def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
-    """Centralized cycle over the run.
+    """Centralized cycle over the run, one loop over the rows.
 
-    Each step is a ``dsie_step`` until the state carries settled gains
-    (``estimator.carries_settled_gains``); from there ``_settled_dsie``
-    applies those gains to the remaining rows in one loop, bit for bit as
-    the steps would. Under "hold" a flagged step goes back to ``dsie_step``,
-    and the loop resumes once P_x settles again. The rows the run reads are
-    validated once, up front.
+    Row ``k - 1`` of the rows is (z_u[k-1], z_x[k]), validated once, up
+    front. Each step uses the gains it carries, or takes
+    ``estimator.cycle_gains`` at the current P_x when it carries none;
+    applies them with ``apply_wls`` and ``apply_kalman``, skipping the
+    update of a step held under "hold"; and keeps them while the step
+    leaves P_x ``settled``. The outputs are those of one ``dsie_step`` per
+    row, bit for bit.
     """
     steps = z_x.shape[0] - 1
     rows = linalg.as_matrix(np.hstack([z_u[:steps], z_x[1:]]), "measurements")
     state = initial_state(model, x0_est, p0, _bdd(scenario))
+    hold = state.bdd.policy == "hold"
     run = _empty_run("dsie", steps, model.n, model.m)
     run.x_est[0] = x0_est
-    k = 1
-    while k <= steps:
-        if carries_settled_gains(state):
-            state, k = _settled_dsie(state, rows, k, run)
-            if k > steps:
-                break
-        state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
-        run.x_est[k] = state.x_hat
-        run.u_est[k - 1] = joint.u_hat
-        run.mahalanobis[k] = report.distance
-        run.thresholds[k] = report.threshold
-        run.flags[k] = report.flagged
-        k += 1
+    x, p = state.x_hat, state.p_x
+    gains = None
+    for k, row in enumerate(rows, 1):
+        if gains is None:
+            gains = cycle_gains(model, p, state.bdd)
+        estimate, distance = apply_wls(gains.wls, np.concatenate([x, row]))
+        run.mahalanobis[k], run.thresholds[k] = distance, gains.wls.threshold
+        run.u_est[k - 1] = estimate[model.n :]
+        held = hold and distance >= gains.wls.threshold
+        x, p_next = apply_kalman(gains.kalman, model, estimate, row[model.l :], held)
+        run.x_est[k] = x
+        if not settled(p_next, p):
+            gains = None
+        p = p_next
+    run.flags[1:] = run.mahalanobis[1:] >= run.thresholds[1:]
     run.u_est[steps] = run.u_est[steps - 1] if steps else 0.0
     return run
 
@@ -226,45 +202,42 @@ def run_wls(model, z_x, z_u, scenario: Scenario) -> MethodRun:
 
 
 def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked) -> MethodRun:
-    """Tracking filter over the run.
+    """Tracking filter over the run, one loop over the rows.
 
-    Each step is a ``tse_step`` until the state carries its gains. Their
-    updated covariance is then the state's P, so they hold for the rest of
-    the run, and ``estimator.apply_tse`` applies them to the remaining rows
-    in one loop, bit for bit as the steps would; the distances' square
-    roots, thresholds and flags of those rows are taken at once after it.
-    The rows the run reads are validated once, up front.
+    Row ``k - 1`` of the rows is (z_x[k], z_u[k]), validated once, up
+    front. Each step uses the gains it carries, or takes
+    ``estimator.tse_gains_at`` at the current P when it carries none;
+    applies them with ``apply_tse``; and keeps them while the step leaves P
+    ``settled``. The distances' square roots, thresholds and flags are
+    taken at once after the loop. The outputs are those of one ``tse_step``
+    per row, bit for bit.
     """
     steps = z_x.shape[0] - 1
     rows = linalg.as_matrix(np.hstack([z_x[1:], z_u[1 : steps + 1]]), "measurements")
-    bdd = _bdd(scenario)
     p0 = _initial_cov(scenario, nominal_stacked)
     q_tse = np.diag((scenario.tse_q_fraction * nominal_stacked) ** 2)
     state = initial_tse_state(model, x0_est, u0_est, p0)
     run = _empty_run("tse", steps, model.n, model.m)
     run.x_est[0] = x0_est
     run.u_est[0] = u0_est
-    k = 1
-    while k <= steps and state.gains is None:
-        state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
-        run.x_est[k] = state.x_part(model)
-        run.u_est[k] = state.u_part(model)
-        run.mahalanobis[k] = report.distance
-        run.thresholds[k] = report.threshold
-        run.flags[k] = report.flagged
-        k += 1
-    if k <= steps:
-        gains, y = state.gains, state.y_hat
-        estimates = np.empty((steps + 1 - k, y.shape[0]))
-        squared = run.mahalanobis[k:]
-        for j, z in enumerate(rows[k - 1 :]):
-            y, squared[j] = apply_tse(gains, y, z)
-            estimates[j] = y
-        run.x_est[k:] = estimates[:, : model.n]
-        run.u_est[k:] = estimates[:, model.n :]
-        np.sqrt(squared, out=squared)
-        run.thresholds[k:] = bdd.threshold(gains.h.shape[0])
-        run.flags[k:] = squared >= run.thresholds[k:]
+    y, p = state.y_hat, state.p
+    estimates = np.empty((steps, y.shape[0]))
+    squared = run.mahalanobis[1:]
+    gains = None
+    for k, z in enumerate(rows):
+        if gains is None:
+            gains = tse_gains_at(model, p, q_tse)
+        y, squared[k] = apply_tse(gains, y, z)
+        estimates[k] = y
+        p_next = gains.p_next
+        if not settled(p_next, p):
+            gains = None
+        p = p_next
+    run.x_est[1:] = estimates[:, : model.n]
+    run.u_est[1:] = estimates[:, model.n :]
+    np.sqrt(squared, out=squared)
+    run.thresholds[1:] = _bdd(scenario).threshold(rows.shape[1])  # one dof per measurement
+    run.flags[1:] = squared >= run.thresholds[1:]
     return run
 
 
@@ -328,15 +301,11 @@ def run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
         meas = {
             aid: (streams[aid][1][k - 1], streams[aid][0][k]) for aid in streams
         }
-        results = run_round(estimators, meas, transport)
-        dists = []
-        thr = []
-        for aid, res in sorted(results.items()):
+        results = sorted(run_round(estimators, meas, transport).items())
+        for aid, res in results:
             _, _, cols_x = streams[aid]
             x_est[k, cols_x] = res.state.x_hat
             per_area[aid][k] = res.bdd.distance
-            dists.append(res.bdd.distance)
-            thr.append(res.bdd.threshold)
             flags[k] |= res.bdd.flagged
             for nb, check in res.cross_checks.items():
                 for i, ok in enumerate(check.accept):
@@ -351,8 +320,11 @@ def run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
                                 "threshold": float(check.threshold[i]),
                             }
                         )
-        mahal[k] = max(dists)
-        thresholds[k] = max(thr)
+        # The run-level pair is the one area's whose distance is the largest
+        # share of its threshold (0 for a dof-0 area's infinite one), so
+        # mahal >= thresholds is the run's flag.
+        worst = max((res.bdd for _, res in results), key=lambda r: r.distance / r.threshold)
+        mahal[k], thresholds[k] = worst.distance, worst.threshold
     return MethodRun(
         "ddsie",
         x_est,

@@ -138,29 +138,6 @@ class TestLocalPhase:
                 assert msg.coordinate_ids == est.area.shared_coordinates[neighbor]
 
 
-class TestShareMessage:
-    def test_dict_roundtrip(self):
-        msg = ShareMessage(
-            sender="east",
-            recipient="west",
-            step=3,
-            coordinate_ids=("v_b3:d", "v_b3:q"),
-            u_shared=np.array([1.5, -2.5]),
-            p_shared=np.array([[0.1, 0.01], [0.01, 0.2]]),
-            flags=(False, True),
-        )
-        back = ShareMessage.from_dict(msg.to_dict())
-        assert back.sender == msg.sender and back.step == msg.step
-        assert back.coordinate_ids == msg.coordinate_ids
-        np.testing.assert_array_equal(back.u_shared, msg.u_shared)
-        np.testing.assert_array_equal(back.p_shared, msg.p_shared)
-        assert back.flags == msg.flags
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(CoordinateMismatch):
-            ShareMessage.from_dict({"version": 99})
-
-
 class TestCrossCheck:
     def _setup(self, fixture4):
         ests = area_estimators(fixture4)

@@ -824,7 +824,10 @@ def step_loop(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
     bdd = pipeline._bdd(scenario)
     if method == "dsie":
         state = initial_state(model, x0, p0, bdd)
-        settled = estimator.carries_settled_gains
+
+        def settled(s):  # both halves carried, P_x their updated covariance
+            return s.gains is not None and s.gains.kalman is not None and s.p_x is s.gains.kalman.p_next
+
     else:
         state = initial_tse_state(model, x0, u0, np.diag(scenario.p0_scale * nominal**2))
         q_tse = np.diag((scenario.tse_q_fraction * nominal) ** 2)
@@ -856,9 +859,9 @@ def step_loop(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
 
 
 class TestSettledLoop:
-    """Once a dsie or tse state carries settled gains, run_dsie and run_tse apply
-    them to the remaining rows in one loop: the outputs are those of one
-    full step per row, bit for bit, and the steps stop early."""
+    """run_dsie and run_tse carry their gains in one loop over the rows: the
+    outputs are those of one full step per row, bit for bit, and the gains
+    are computed exactly where the steps compute them."""
 
     @pytest.mark.parametrize("changes", POLICIES, ids=["alert-only", "hold", "hold-zeta5"])
     @pytest.mark.parametrize("name", SCENARIOS)
@@ -876,23 +879,26 @@ class TestSettledLoop:
         if changes.get("bdd_policy") == "hold" and method == "dsie":
             assert 0 < cold.flags.sum() < len(cold.flags) - 1
 
+    @pytest.mark.parametrize(
+        "method, changes",
+        [("dsie", c) for c in POLICIES] + [("tse", {})],
+        ids=["dsie-alert-only", "dsie-hold", "dsie-hold-zeta5", "tse"],
+    )
     @pytest.mark.parametrize("name", SCENARIOS)
-    @pytest.mark.parametrize("method", ["dsie", "tse"])
-    def test_steps_run_only_until_the_gains_settle(self, monkeypatch, method, name):
-        inputs = run_inputs(name)
-        _, first_settled = step_loop(method, *inputs)
-        step = getattr(pipeline, f"{method}_step")
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return step(*args)
-
-        monkeypatch.setattr(pipeline, f"{method}_step", counted)
+    def test_gains_are_computed_as_often_as_in_the_step_loop(self, monkeypatch, method, name, changes):
+        inputs = run_inputs(name, **changes)
+        counts = count_gains(monkeypatch)
         estimator.gains_table.clear()
-        run_method(method, *inputs)
-        assert len(calls) == first_settled
-        assert 0 < first_settled < 50 and inputs[2].shape[0] - 1 >= 300  # the loop takes nearly all
+        _, first_settled = step_loop(method, *inputs)
+        in_steps = counts[method]
+        estimator.gains_table.clear()
+        run = run_method(method, *inputs)
+        in_run = counts[method] - in_steps
+        assert in_run == in_steps
+        if changes:  # a held step un-settles P_x, so the gains are computed again after it
+            assert in_steps > (first_settled or 0) and run.flags.any()
+        else:  # computed until the gains settle, early in a long run
+            assert 0 < in_steps == first_settled < 50 and inputs[2].shape[0] - 1 >= 300
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("stream", [2, 3])  # z_x, z_u
@@ -1030,6 +1036,17 @@ class TestSharedGains:
         assert len(table) == 0
         assert 0 < run.flags.sum() < len(x) - 1
         assert_series_close(run.x_est, x)
+
+    def test_an_entry_stored_without_its_kalman_half_serves_dsie_both_halves(self):
+        model, _, _, _, x0, p0, _, _ = method_inputs()
+        estimator.gains_table.clear()
+        state = initial_state(model, x0, p0, BddConfig())
+        stored = estimator.with_shared_gains(state, fuses=True).gains
+        gains = estimator.cycle_gains(model, state.p_x, state.bdd)
+        assert stored.kalman is None and gains.wls is stored.wls
+        expected = estimator.kalman_gains(model, stored.wls.cov)
+        for f in ("ab", "p_pred", "gain", "p_next"):
+            np.testing.assert_array_equal(getattr(gains.kalman, f), getattr(expected, f))
 
     def test_the_table_holds_at_most_its_budget(self, monkeypatch):
         small = estimator._GainsTable(64 * 1024)

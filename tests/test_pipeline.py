@@ -136,3 +136,13 @@ class TestWrittenRun:
             np.testing.assert_array_equal(series.pop(f"mahalanobis:{aid}"), dist)
         assert not series
         assert (method == "ddsie") == bool(run.per_area_mahalanobis)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"])
+def test_ddsie_run_level_distance_reaches_its_threshold_exactly_on_flagged_steps(name, seed):
+    scenario = replace(load_scenario(bundled_scenario_path(name)), estimators=("ddsie",), seed=seed)
+    run = run_scenario(load_network(bundled_network_path(scenario.network)), scenario)["series"]["runs"]["ddsie"]
+    flags = run.flags[1:]  # row 0 is the initial estimate: no distance, no threshold
+    assert flags.any() and not flags.all()
+    np.testing.assert_array_equal(flags, run.mahalanobis[1:] >= run.thresholds[1:])
