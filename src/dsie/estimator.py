@@ -36,8 +36,12 @@ hold at most ``_GAINS_BUDGET`` bytes, keyed by exact bytes: the model's
 ``DiscreteModel.content`` and the covariance the gains are taken at. It
 holds the dsie cycle gains under the alert-only policy (keyed by P_x and
 the bad-data settings, ``cycle_gains``), the tracking gains (by P
-and Q), the snapshot gains (by the bad-data settings), and a ddsie area's
-gains while every round of its run is clean (``distributed.run_round``).
+and Q), the snapshot gains (by the bad-data settings), a ddsie area's
+gains while every round of its run is clean (``distributed.run_round``),
+and the prepared models of ``pipeline.prepare`` (by the topology, the
+sampling time and the scenario inputs they are built from). The lazily
+built parts of an entry (a model's fixed rows, a prepared model's rank
+report and area models) are not counted in its bytes.
 A run that repeats a model, P0 and settings therefore computes nothing
 before its filters settle, or its first lost message or rejection. Under
 the hold policy dsie's covariance path depends on which steps were
@@ -218,9 +222,10 @@ def _array_bytes(value) -> int:
 
 
 class _GainsTable:
-    """Gains shared by every run in the process: a least-recently-used map
-    from exact-bytes keys to gains whose arrays hold at most ``budget``
-    bytes together.
+    """Gains and prepared models shared by every run in the process: a
+    least-recently-used map from exact keys to entries whose arrays hold at
+    most ``budget`` bytes together. ``nbytes`` counts the arrays of an
+    entry's fields, not the parts it builds lazily later.
 
     Concurrent callers may compute the same gains twice, never see a
     partial entry, and a computation that raises stores nothing.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import estimator, linalg
 from .distributed import LossyTransport, Transport, make_area_estimator, run_round
 from .errors import SingularAtSteadyState
 from .estimator import (
@@ -36,8 +37,10 @@ from .estimator import (
 )
 from .metrics import false_alarm_rate, mean_mse, mse_per_variable
 from .model import (
+    AreaModel,
     ContinuousModel,
     DiscreteModel,
+    RankReport,
     build_continuous,
     build_discrete,
     check_joint_rank,
@@ -60,8 +63,14 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class Prepared:
-    """Scenario-resolved model set: nominals, noise levels, matrices."""
+    """Scenario-resolved model set: nominals, noise levels, matrices.
 
+    One is shared, read-only, by every run in the process whose inputs are
+    equal (``prepare``). Its rank report and area models are built on first
+    use and then shared as well.
+    """
+
+    topology: NetworkTopology
     continuous: ContinuousModel
     model: DiscreteModel
     x_nominal: np.ndarray
@@ -71,11 +80,50 @@ class Prepared:
     u0: np.ndarray
     measurement_std_override: dict | None
 
+    @functools.cached_property
+    def rank(self) -> RankReport:
+        """The joint design's rank report (``check_joint_rank``); built on first use."""
+        return check_joint_rank(self.model)
+
+    @functools.cached_property
+    def areas(self) -> tuple[AreaModel, ...]:
+        """The models of the topology's declared areas (``partition``); built on first use."""
+        return tuple(
+            partition(
+                self.topology,
+                self.model.t_s,
+                process_noise_std=self.process_std,
+                measurement_std_override=self.measurement_std_override,
+            )
+        )
+
 
 def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
+    """The models of ``topology`` resolved for ``scenario``, shared through
+    ``estimator.gains_table``.
+
+    The key is exact and covers everything the models are built from: the
+    topology's ``repr`` (its areas are a dict, so it has no hash), the
+    sampling time, the duration, the inputs at t = 0 (initial inputs and
+    load events) and the noise fractions. The arrays of the result and of
+    its two models are read-only.
+    """
+    key = (
+        "prepared",
+        repr(topology),
+        scenario.t_s,
+        scenario.duration,
+        tuple(sorted(scenario.initial_inputs.items())),
+        scenario.load_events,
+        scenario.process_fraction,
+        scenario.measurement_fraction,
+    )
+    return estimator.gains_table.get(key, functools.partial(_prepare, topology, scenario))
+
+
+def _prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
     continuous = build_continuous(topology)
-    u = input_trajectory(continuous, scenario)
-    u0 = u[0]
+    u0 = input_trajectory(continuous, scenario)[0].copy()
     try:
         x_steady = steady_state(continuous, u0)
     except SingularAtSteadyState:
@@ -101,7 +149,8 @@ def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
         measurement_std_override=override,
         continuous=continuous,
     )
-    return Prepared(
+    prepared = Prepared(
+        topology=topology,
         continuous=continuous,
         model=model,
         x_nominal=x_nominal,
@@ -111,6 +160,12 @@ def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
         u0=u0,
         measurement_std_override=override,
     )
+    for owner in (prepared, continuous, model):
+        for f in dataclasses.fields(owner):
+            value = getattr(owner, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    return prepared
 
 
 @dataclass
@@ -141,12 +196,16 @@ def _bdd(scenario: Scenario) -> BddConfig:
 
 
 def _empty_run(name, steps, n, m) -> MethodRun:
+    """Zeroed series of a filter run whose row 0, the initial estimate, is
+    never flagged: its threshold is infinite."""
+    thresholds = np.zeros(steps + 1)
+    thresholds[0] = np.inf
     return MethodRun(
         name,
         np.zeros((steps + 1, n)),
         np.zeros((steps + 1, m)),
         np.zeros(steps + 1),
-        np.zeros(steps + 1),
+        thresholds,
         np.zeros(steps + 1, dtype=bool),
     )
 
@@ -251,24 +310,18 @@ def _rows_by_label(labels, central_labels):
     return [next(queues[label]) for label in labels]
 
 
-def run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
-    """Distributed run over the declared areas with lockstep rounds.
+def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
+    """Distributed run over the areas of ``prepared`` with lockstep rounds.
 
     Every area reads its own channels out of the run's one measurement
     stream by sensor label and starts from its block of ``x0_est``/``p0``.
     """
     steps = z_x.shape[0] - 1
-    areas = partition(
-        topology,
-        scenario.t_s,
-        process_noise_std=prepared.process_std,
-        measurement_std_override=prepared.measurement_std_override,
-    )
     bdd = _bdd(scenario)
     state_index = prepared.continuous.state_index
     streams = {}
     estimators = []
-    for area in areas:
+    for area in prepared.areas:
         cols_x = [i for sid in area.model.state_ids for i in state_index[sid]]
         rows_x = _rows_by_label(area.model.z_x_labels, prepared.model.z_x_labels)
         rows_u = _rows_by_label(area.model.z_u_labels, prepared.model.z_u_labels)
@@ -291,6 +344,7 @@ def run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
     x_est = np.zeros((steps + 1, prepared.continuous.n))
     mahal = np.zeros(steps + 1)
     thresholds = np.zeros(steps + 1)
+    thresholds[0] = np.inf  # row 0 is the initial estimate, never flagged
     flags = np.zeros(steps + 1, dtype=bool)
     per_area = {e.area_id: np.zeros(steps + 1) for e in estimators}
     rejections = []
@@ -361,7 +415,7 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
     writing; everything else is JSON-serializable.
     """
     prepared = prepare(topology, scenario)
-    rank = check_joint_rank(prepared.model)
+    rank = prepared.rank
     if not rank.ok:
         raise RuntimeError(
             f"joint rank check failed; unobservable inputs: {rank.unobservable_inputs}"
@@ -394,7 +448,7 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
         elif method == "tse":
             run = run_tse(prepared.model, z_x, z_u, scenario, x0_est, prepared.u0, nominal_stacked)
         elif method == "ddsie":
-            run = run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0)
+            run = run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0)
         else:
             raise ValueError(f"unknown estimator {method!r}")
         run.wall_clock_s = time.perf_counter() - t0

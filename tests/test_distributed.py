@@ -483,7 +483,7 @@ class TestFinalizePhase:
 
 def ddsie_inputs(name, **changes):
     """``run_ddsie``'s arguments for a bundled scenario, built as run_scenario builds them:
-    (topology, scenario, prepared, z_x, z_u, x0_est, p0)."""
+    (scenario, prepared, z_x, z_u, x0_est, p0)."""
     scenario = dataclasses.replace(load_scenario(bundled_scenario_path(name)), **changes)
     topology = load_network(bundled_network_path(scenario.network))
     prepared = pipeline.prepare(topology, scenario)
@@ -493,7 +493,7 @@ def ddsie_inputs(name, **changes):
     z_x, z_u = apply_attacks(z_x, z_u, scenario.attacks, prepared.model, truth.times)
     x0_est = pipeline._initial_estimate(scenario, prepared.x_steady, prepared.x_nominal)
     p0 = pipeline._initial_cov(scenario, prepared.x_nominal)
-    return topology, scenario, prepared, z_x, z_u, x0_est, p0
+    return scenario, prepared, z_x, z_u, x0_est, p0
 
 
 def clear_gains(estimators):
@@ -665,7 +665,7 @@ class TestGivenCovariancesOnlyAreValidated:
         monkeypatch.setattr(linalg, "symmetrize_psd", counted_symmetrize)
         monkeypatch.setattr(estimator, "tse_gains", counted_tse_gains)
         inputs = ddsie_inputs("fixture4_load_change", drop_rate=0.2, delay_rate=0.1, bdd_policy="hold")
-        _, scenario, prepared, z_x, z_u, x0_est, p0 = inputs
+        scenario, prepared, z_x, z_u, x0_est, p0 = inputs
         pipeline.run_dsie(prepared.model, z_x, z_u, scenario, x0_est, p0)
         assert len(validated) == 1
 
@@ -685,10 +685,11 @@ class TestFixedRowsOncePerModel:
     and never while a model is built."""
 
     def test_building_a_model_leaves_them_unfactored(self):
-        topology, scenario, prepared, *_ = ddsie_inputs("fixture4_load_change")
+        estimator.gains_table.clear()  # a model no earlier test has used
+        scenario, prepared, *_ = ddsie_inputs("fixture4_load_change")
         check_joint_rank(prepared.model)
         areas = partition(
-            topology,
+            prepared.topology,
             scenario.t_s,
             process_noise_std=prepared.process_std,
             measurement_std_override=prepared.measurement_std_override,
@@ -722,7 +723,8 @@ class TestFixedRowsOncePerModel:
 class TestDdsiePipeline:
     @pytest.mark.parametrize("name", ["fixture4_load_change", "example13_load_change"])
     def test_run_scenario_runs_ddsie(self, name):
-        topology, scenario, *_ = ddsie_inputs(name, estimators=("ddsie",))
+        scenario, prepared, *_ = ddsie_inputs(name, estimators=("ddsie",))
+        topology = prepared.topology
         result = pipeline.run_scenario(topology, scenario)
         run = result["series"]["runs"]["ddsie"]
         assert run.x_est.shape == result["series"]["truth"].x.shape
@@ -736,8 +738,8 @@ class TestDdsiePipeline:
         assert np.isfinite(result["report"]["methods"]["ddsie"]["mse_state_mean"])
 
     def test_run_scenario_runs_ddsie_under_attack(self):
-        topology, scenario, *_ = ddsie_inputs("fixture4_attack", estimators=("ddsie",))
-        run = pipeline.run_scenario(topology, scenario)["series"]["runs"]["ddsie"]
+        scenario, prepared, *_ = ddsie_inputs("fixture4_attack", estimators=("ddsie",))
+        run = pipeline.run_scenario(prepared.topology, scenario)["series"]["runs"]["ddsie"]
         assert np.all(np.isfinite(run.x_est))
 
 
@@ -755,9 +757,12 @@ class TestOneStream:
         ],
     )
     def test_single_area_run_equals_dsie(self, name, changes):
-        topology, scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(name, **changes)
+        scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(name, **changes)
+        topology = prepared.topology
         whole = dataclasses.replace(topology, areas=whole_area(topology), shared_buses=())
-        run = pipeline.run_ddsie(whole, scenario, prepared, z_x, z_u, x0_est, p0)
+        run = pipeline.run_ddsie(
+            scenario, pipeline.prepare(whole, scenario), z_x, z_u, x0_est, p0
+        )
         ref = pipeline.run_dsie(prepared.model, z_x, z_u, scenario, x0_est, p0)
         np.testing.assert_array_equal(run.x_est, ref.x_est)
         np.testing.assert_array_equal(run.mahalanobis, ref.mahalanobis)
@@ -766,9 +771,10 @@ class TestOneStream:
             assert ref.flags.sum() > 0  # some steps held
 
     def test_areas_read_the_central_stream_by_label(self, monkeypatch):
-        topology, scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(
+        scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(
             "fixture4_load_change", duration=0.02, load_events=()
         )
+        topology = prepared.topology
         rounds = []
 
         def capture(estimators, measurements, transport=None):
@@ -776,7 +782,7 @@ class TestOneStream:
             return run_round(estimators, measurements, transport)
 
         monkeypatch.setattr(pipeline, "run_round", capture)
-        pipeline.run_ddsie(topology, scenario, prepared, z_x, z_u, x0_est, p0)
+        pipeline.run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0)
         assert len(rounds) == scenario.steps
 
         def central_rows(labels, central):

@@ -835,7 +835,7 @@ def step_loop(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
         def settled(s):
             return s.gains is not None
 
-    x, distance, thresholds, flags = [x0], [0.0], [0.0], [False]
+    x, distance, thresholds, flags = [x0], [0.0], [np.inf], [False]  # row 0: never flagged
     u = [] if method == "dsie" else [u0]
     first_settled = None
     for k in range(1, z_x.shape[0]):
@@ -1191,7 +1191,9 @@ class TestSharedDdsieGains:
             "fixture4_load_change", drop_rate=0.2, delay_rate=0.1, bdd_policy="hold"
         )
         pipeline.run_scenario(topology, scenario)
-        assert len(table) == 0
+        assert len(table) == 1  # the run's prepared model, which a second prepare finds
+        pipeline.prepare(topology, scenario)
+        assert len(table) == 1
 
     def test_dsie_entries_survive_an_example13_mix_under_the_budget(self, monkeypatch):
         table = estimator._GainsTable(estimator._GAINS_BUDGET)

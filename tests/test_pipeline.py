@@ -1,14 +1,15 @@
 """Run outputs: the long-format CSV writer and what it writes for a real run."""
 
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from dsie import estimator, model, pipeline
 from dsie.network import load_network
 from dsie.pipeline import _write_long_csv, run_scenario, write_outputs
-from dsie.sim import load_scenario
+from dsie.sim import LoadEvent, load_scenario
 
 from conftest import bundled_network_path, bundled_scenario_path
 
@@ -138,11 +139,145 @@ class TestWrittenRun:
         assert (method == "ddsie") == bool(run.per_area_mahalanobis)
 
 
+METHODS = ("dsie", "wls", "tse", "ddsie")
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"])
-def test_ddsie_run_level_distance_reaches_its_threshold_exactly_on_flagged_steps(name, seed):
-    scenario = replace(load_scenario(bundled_scenario_path(name)), estimators=("ddsie",), seed=seed)
-    run = run_scenario(load_network(bundled_network_path(scenario.network)), scenario)["series"]["runs"]["ddsie"]
-    flags = run.flags[1:]  # row 0 is the initial estimate: no distance, no threshold
-    assert flags.any() and not flags.all()
-    np.testing.assert_array_equal(flags, run.mahalanobis[1:] >= run.thresholds[1:])
+def test_distance_reaches_its_threshold_exactly_on_flagged_rows(name, seed):
+    """On every row, row 0 included, a run's flag is distance >= threshold.
+    The filters' row 0, the initial estimate, has an infinite threshold."""
+    scenario = replace(load_scenario(bundled_scenario_path(name)), estimators=METHODS, seed=seed)
+    runs = run_scenario(load_network(bundled_network_path(scenario.network)), scenario)["series"]["runs"]
+    for method, run in runs.items():
+        np.testing.assert_array_equal(run.flags, run.mahalanobis >= run.thresholds, err_msg=method)
+        assert not run.flags.all()
+        if method != "wls":  # wls row 0 is a real snapshot
+            assert run.flags[1:].any() and run.thresholds[0] == np.inf
+
+
+def bundled(name, **changes):
+    """(topology, scenario) of a bundled scenario, both loaded afresh."""
+    scenario = replace(load_scenario(bundled_scenario_path(name)), **changes)
+    return load_network(bundled_network_path(scenario.network)), scenario
+
+
+def nudged_line(topology):
+    """``topology`` with its first line's resistance one ulp larger."""
+    line = topology.lines[0]
+    nudged = replace(line, resistance=float(np.nextafter(line.resistance, np.inf)))
+    return replace(topology, lines=(nudged,) + topology.lines[1:])
+
+
+def nudged_input(scenario):
+    """``scenario`` with one initial input's d coordinate one ulp larger."""
+    iid, (d, q) = sorted(scenario.initial_inputs.items())[0]
+    return replace(
+        scenario, initial_inputs={**scenario.initial_inputs, iid: (float(np.nextafter(d, np.inf)), q)}
+    )
+
+
+def run_series(result):
+    """Every series of a run_scenario result, by (method, name)."""
+    out = {("truth", "x"): result["series"]["truth"].x, ("truth", "u"): result["series"]["truth"].u}
+    for method, run in result["series"]["runs"].items():
+        for name in ("x_est", "u_est", "mahalanobis", "thresholds", "flags"):
+            out[method, name] = getattr(run, name)
+        for aid, series in run.per_area_mahalanobis.items():
+            out[method, aid] = series
+        out[method, "rejections"] = run.crosscheck_rejections
+    return out
+
+
+class TestSharedModel:
+    """``pipeline.prepare`` returns one shared, read-only model set for every
+    run in the process whose inputs are equal, with its rank report and area
+    models."""
+
+    def test_equal_inputs_give_one_object(self):
+        first = pipeline.prepare(*bundled("fixture4_load_change"))
+        assert pipeline.prepare(*bundled("fixture4_load_change")) is first
+        assert pipeline.prepare(*bundled("fixture4_load_change", seed=3, bdd_policy="hold")) is first
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda t, s: (nudged_line(t), s),
+            lambda t, s: (t, replace(s, t_s=float(np.nextafter(s.t_s, np.inf)))),
+            lambda t, s: (t, replace(s, process_fraction=2 * s.process_fraction)),
+            lambda t, s: (t, replace(s, measurement_fraction=2 * s.measurement_fraction)),
+            lambda t, s: (t, nudged_input(s)),
+        ],
+        ids=["line-resistance", "t_s", "process_fraction", "measurement_fraction", "initial-input"],
+    )
+    def test_any_input_of_the_model_gives_another_object(self, change):
+        topology, scenario = bundled("fixture4_load_change")
+        base = pipeline.prepare(topology, scenario)
+        assert pipeline.prepare(*change(topology, scenario)) is not base
+        assert pipeline.prepare(topology, scenario) is base
+
+    def test_a_second_seed_builds_nothing_and_a_cleared_table_builds_again(self, monkeypatch):
+        calls = dict.fromkeys(("check_joint_rank", "partition", "build_discrete"), 0)
+        for module, name in (
+            (pipeline, "check_joint_rank"),
+            (pipeline, "partition"),
+            (pipeline, "build_discrete"),
+            (model, "build_discrete"),
+        ):
+
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        topology, scenario = bundled("fixture4_load_change", estimators=METHODS, seed=1)
+        estimator.gains_table.clear()
+        run_scenario(topology, scenario)
+        first = dict(calls)
+        assert first == {"check_joint_rank": 1, "partition": 1, "build_discrete": 3}  # whole, 2 areas
+        run_scenario(*bundled("fixture4_load_change", estimators=METHODS, seed=2))
+        assert calls == first
+        estimator.gains_table.clear()
+        run_scenario(topology, replace(scenario, seed=2))
+        assert calls == {name: 2 * count for name, count in first.items()}
+
+    def test_the_shared_arrays_are_read_only(self):
+        prepared = pipeline.prepare(*bundled("fixture4_load_change"))
+        with pytest.raises(ValueError):
+            prepared.model.q[0, 0] = 1.0
+        for owner in (prepared, prepared.continuous, prepared.model):
+            for f in fields(owner):
+                value = getattr(owner, f.name)
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, f.name
+
+    def test_a_failed_prepare_stores_nothing(self):
+        topology, scenario = bundled("fixture4_load_change")
+        bad = replace(scenario, load_events=(LoadEvent(0.1, "i_nowhere", (1.0, 0.0)),))
+        entries = len(estimator.gains_table)
+        for _ in range(2):
+            with pytest.raises(KeyError, match="i_nowhere"):
+                pipeline.prepare(topology, bad)
+        assert len(estimator.gains_table) == entries
+
+    @pytest.mark.parametrize(
+        "name, changes",
+        [
+            ("fixture4_attack", {}),
+            ("example13_load_change", {}),
+            ("fixture4_load_change", {"drop_rate": 0.2, "delay_rate": 0.1, "bdd_policy": "hold"}),
+        ],
+    )
+    def test_warm_and_cold_tables_give_bit_identical_series(self, name, changes):
+        topology, scenario = bundled(name, estimators=METHODS, **changes)
+        estimator.gains_table.clear()
+        run_scenario(topology, replace(scenario, seed=1))
+        warm = run_series(run_scenario(topology, replace(scenario, seed=2)))
+        estimator.gains_table.clear()
+        cold = run_series(run_scenario(topology, replace(scenario, seed=2)))
+        assert warm.keys() == cold.keys()
+        for key, series in cold.items():
+            if isinstance(series, list):
+                assert warm[key] == series, key
+            else:
+                np.testing.assert_array_equal(warm[key], series, err_msg=str(key))
