@@ -67,6 +67,22 @@ class ContinuousModel:
     def m(self):
         return self.b.shape[1]
 
+    @functools.cached_property
+    def _zoh(self) -> dict:
+        return {}
+
+    def discretize(self, t_s) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (A_d, B_d) of the exact zero-order hold at ``t_s``
+        (``linalg.discretize_zoh``), computed once per t_s and then shared:
+        the filters' model and the simulated truth step with the same arrays."""
+        zoh = self._zoh
+        if t_s not in zoh:
+            a_d, b_d = linalg.discretize_zoh(self.a, self.b, t_s)
+            a_d.setflags(write=False)
+            b_d.setflags(write=False)
+            zoh[t_s] = a_d, b_d
+        return zoh[t_s]
+
 
 def _dynamic_capacitance(topology: NetworkTopology, bus_id: str) -> float:
     """Total capacitance making a bus voltage dynamic, 0.0 if none."""
@@ -168,6 +184,8 @@ def build_continuous(topology: NetworkTopology) -> ContinuousModel:
     # -j*omega coupling on every state block.
     a = np.kron(ac, np.eye(2)) + np.kron(np.eye(nc), np.array([[0.0, topology.omega], [-topology.omega, 0.0]]))
     b = np.kron(bc, np.eye(2))
+    a.setflags(write=False)  # ``discretize`` memoises on them
+    b.setflags(write=False)
     return ContinuousModel(a=a, b=b, state_ids=state_ids, input_ids=input_ids, omega=topology.omega)
 
 
@@ -313,7 +331,7 @@ def build_discrete(
     if not t_s > 0:
         raise ValueError(f"t_s must be positive, got {t_s!r}")
     cont = continuous if continuous is not None else build_continuous(topology)
-    a_d, b_d = linalg.discretize_zoh(cont.a, cont.b, t_s)
+    a_d, b_d = cont.discretize(t_s)
     c, d, r_x, r_u, x_labels, u_labels = build_measurement(
         topology, cont, measurement_std_override
     )

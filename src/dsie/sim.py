@@ -1,8 +1,10 @@
 """Ground-truth simulator, measurement generator and attack injection.
 
-Truth integration uses the same exact zero-order-hold stepping as the
-filters (exact for piecewise-constant inputs), so model mismatch is a
-deliberate scenario knob rather than an artifact of the integrator.
+Truth integration steps with the very A_d and B_d the filters use
+(``ContinuousModel.discretize``: exact zero-order hold, exact for
+piecewise-constant inputs, computed once per model and t_s), so model
+mismatch is a deliberate scenario knob rather than an artifact of the
+integrator.
 """
 
 from __future__ import annotations
@@ -290,27 +292,21 @@ class TruthTrajectory:
 def input_trajectory(continuous: ContinuousModel, scenario: Scenario) -> np.ndarray:
     """Piecewise-constant input signal: initial values plus load events."""
     steps = scenario.steps
-    m = continuous.m
     index = continuous.input_index
-    u = np.zeros((steps + 1, m))
-    current = np.zeros(m)
-    for iid, (d, q) in index.items():
+    u = np.zeros((steps + 1, continuous.m))
+    for iid, pair in index.items():
         if iid in scenario.initial_inputs:
-            current[d], current[q] = scenario.initial_inputs[iid]
+            u[:, pair] = scenario.initial_inputs[iid]
     events = sorted(scenario.load_events, key=lambda e: e.time)
     for e in events:
         if e.input_id not in index:
             raise KeyError(f"load event targets unknown input {e.input_id!r}")
         if e.time > scenario.duration:
             raise WindowOutOfRange(f"event at t={e.time} is outside duration {scenario.duration}")
-    ei = 0
-    for k in range(steps + 1):
-        t = k * scenario.t_s
-        while ei < len(events) and events[ei].time <= t + 1e-12:
-            d, q = index[events[ei].input_id]
-            current[d], current[q] = events[ei].value
-            ei += 1
-        u[k] = current
+    # An event acts from the first step k with time <= k * t_s + 1e-12.
+    grid = np.arange(steps + 1) * scenario.t_s + 1e-12
+    for e in events:
+        u[np.searchsorted(grid, e.time) :, index[e.input_id]] = e.value
     return u
 
 
@@ -350,7 +346,7 @@ def simulate_truth(
     """
     u = input_trajectory(continuous, scenario)
     steps = scenario.steps
-    a_d, b_d = linalg.discretize_zoh(continuous.a, continuous.b, scenario.t_s)
+    a_d, b_d = continuous.discretize(scenario.t_s)
     if scenario.init_state == "zero":
         x0 = np.zeros(continuous.n)
     elif scenario.init_state == "steady":
@@ -368,8 +364,18 @@ def simulate_truth(
         noise = rng.normal(0.0, 1.0, size=(steps, continuous.n)) * std
     else:
         noise = np.zeros((steps, continuous.n))
-    for k in range(steps):
-        x[k + 1] = a_d @ x[k] + b_d @ u[k] + noise[k]
+    # B_d u is formed once per segment of byte-equal input rows (bytes, so
+    # a -0.0 after a +0.0 starts a segment); each step keeps the order
+    # (A_d x + B_d u) + noise, and adds even a zero noise row, since
+    # -0.0 + 0.0 is +0.0.
+    rows = u[:steps].view(np.uint64)
+    starts = [0, *(np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1), steps]
+    for start, end in zip(starts[:-1], starts[1:]):
+        bu = b_d @ u[start]
+        for x_k, x_next, noise_k in zip(x[start:end], x[start + 1 : end + 1], noise[start:end]):
+            np.matmul(a_d, x_k, out=x_next)
+            x_next += bu
+            x_next += noise_k
     times = np.arange(steps + 1) * scenario.t_s
     return TruthTrajectory(times=times, x=x, u=u)
 

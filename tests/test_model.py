@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from dsie import linalg
 from dsie.errors import (
     DuplicateId,
     NonAdjacentShare,
@@ -99,6 +100,18 @@ class TestBuildContinuous:
         )
         with pytest.raises(DuplicateId):
             state_and_input_ids(topo)
+
+    def test_matrices_are_read_only_and_discretize_is_shared(self, fixture4):
+        cont = build_continuous(fixture4)
+        for matrix in (cont.a, cont.b):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+        a_d, b_d = cont.discretize(0.001)
+        assert cont.discretize(0.001)[0] is a_d and cont.discretize(0.001)[1] is b_d
+        with pytest.raises(ValueError):
+            a_d[0, 0] = 1.0
+        np.testing.assert_array_equal(a_d, linalg.discretize_zoh(cont.a, cont.b, 0.001)[0])
+        assert cont.discretize(0.002)[0] is not a_d
 
     def test_commutes_with_global_rotation(self, fixture4):
         cont = build_continuous(fixture4)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dsie import estimator, model, pipeline
+from dsie import estimator, linalg, model, pipeline
 from dsie.network import load_network
 from dsie.pipeline import _write_long_csv, run_scenario, write_outputs
 from dsie.sim import LoadEvent, load_scenario
@@ -240,6 +240,25 @@ class TestSharedModel:
         estimator.gains_table.clear()
         run_scenario(topology, replace(scenario, seed=2))
         assert calls == {name: 2 * count for name, count in first.items()}
+
+    @pytest.mark.parametrize("method, zohs", [("dsie", 1), ("wls", 1), ("tse", 1), ("ddsie", 3)])
+    def test_one_zoh_per_model_serves_the_filters_and_the_truth(self, monkeypatch, method, zohs):
+        calls = []
+
+        def counted(*args, _original=linalg.discretize_zoh):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, "discretize_zoh", counted)
+        estimator.gains_table.clear()
+        topology, scenario = bundled("fixture4_load_change", estimators=(method,), seed=1)
+        run_scenario(topology, scenario)
+        assert len(calls) == zohs  # the whole model, and for ddsie its 2 areas
+        run_scenario(*bundled("fixture4_load_change", estimators=(method,), seed=2))
+        assert len(calls) == zohs
+        prepared = pipeline.prepare(topology, scenario)
+        a_d, b_d = prepared.continuous.discretize(scenario.t_s)
+        assert a_d is prepared.model.a_d and b_d is prepared.model.b_d
 
     def test_the_shared_arrays_are_read_only(self):
         prepared = pipeline.prepare(*bundled("fixture4_load_change"))

@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dsie import linalg, pipeline
 from dsie.errors import InputFileError, SingularAtSteadyState, UnreachableSupport, WindowOutOfRange
 from dsie.metrics import false_alarm_rate
 from dsie.model import build_continuous, build_discrete
+from dsie.network import load_network
 from dsie.sim import (
     AttackSpec,
     LoadEvent,
@@ -24,7 +26,7 @@ from dsie.sim import (
     steady_state,
 )
 
-from conftest import bundled_scenario_path, make_cap_bus_topology, make_line_topology
+from conftest import bundled_network_path, bundled_scenario_path, make_cap_bus_topology, make_line_topology
 
 BASE_DOC = {
     "network": "fixture4",
@@ -219,6 +221,132 @@ class TestSimulateTruth:
         sc = constant_scenario(load_events=(LoadEvent(0.004, "nope", (9.0, 9.0)),))
         with pytest.raises(KeyError):
             input_trajectory(cont, sc)
+
+
+def reference_input_trajectory(continuous, scenario):
+    """The per-step input fill: step k applies, in time order, every event
+    with time <= k * t_s + 1e-12 not applied yet."""
+    index = continuous.input_index
+    u = np.zeros((scenario.steps + 1, continuous.m))
+    current = np.zeros(continuous.m)
+    for iid, (d, q) in index.items():
+        if iid in scenario.initial_inputs:
+            current[d], current[q] = scenario.initial_inputs[iid]
+    events = sorted(scenario.load_events, key=lambda e: e.time)
+    ei = 0
+    for k in range(scenario.steps + 1):
+        while ei < len(events) and events[ei].time <= k * scenario.t_s + 1e-12:
+            d, q = index[events[ei].input_id]
+            current[d], current[q] = events[ei].value
+            ei += 1
+        u[k] = current
+    return u
+
+
+def reference_truth(continuous, scenario, process_std=None):
+    """(x, u) of the per-step recurrence x[k+1] = A_d x[k] + B_d u[k] + noise[k]
+    with a ZOH of its own, drawing the noise as ``simulate_truth`` does."""
+    u = reference_input_trajectory(continuous, scenario)
+    a_d, b_d = linalg.discretize_zoh(continuous.a, continuous.b, scenario.t_s)
+    steps, n = scenario.steps, continuous.n
+    x = np.zeros((steps + 1, n))
+    if scenario.init_state != "zero":
+        try:
+            x[0] = steady_state(continuous, u[0])
+        except SingularAtSteadyState:
+            if scenario.init_state == "steady":
+                raise
+    if process_std is None:
+        noise = np.zeros((steps, n))
+    else:
+        noise = rng_for(scenario.seed, "truth").normal(0.0, 1.0, size=(steps, n)) * process_std
+    for k in range(steps):
+        x[k + 1] = a_d @ x[k] + b_d @ u[k] + noise[k]
+    return x, u
+
+
+def assert_same_bits(actual, expected):
+    """Equal arrays down to the sign of each zero, which assert_array_equal
+    alone does not see."""
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestTruthMatchesPerStepReference:
+    """``simulate_truth`` fills inputs per event and forms B_d u once per
+    segment of equal input rows; its truth equals the per-step loop's bit
+    for bit."""
+
+    @pytest.mark.parametrize("init", ["steady", "zero", "auto"])
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "noiseless"])
+    @pytest.mark.parametrize("name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"])
+    def test_bundled_scenarios(self, name, noisy, init):
+        scenario = dataclasses.replace(load_scenario(bundled_scenario_path(name)), init_state=init, seed=3)
+        prepared = pipeline.prepare(load_network(bundled_network_path(scenario.network)), scenario)
+        std = prepared.process_std if noisy else None
+        truth = simulate_truth(prepared.continuous, scenario, process_std=std)
+        x, u = reference_truth(prepared.continuous, scenario, std)
+        assert_same_bits(truth.u, u)
+        assert_same_bits(truth.x, x)
+
+    @pytest.fixture
+    def edge_case(self, fixture4):
+        t_s = 0.001
+        on_grid = 8 * t_s
+        scenario = Scenario(
+            network="fixture4",
+            t_s=t_s,
+            duration=0.02,
+            initial_inputs={
+                "v_b3": (480.0, 0.0),
+                "v_t_b1": (492.0, 18.0),
+                "i_load_b2": (60.0, -15.0),
+                "i_load_b4": (40.0, -10.0),
+            },
+            load_events=(
+                LoadEvent(0.02, "i_load_b2", (70.0, -15.0)),  # at t = duration
+                LoadEvent(0.0, "i_load_b2", (61.0, -15.0)),
+                LoadEvent(0.0031, "i_load_b4", (45.0, -10.0)),  # two in one step,
+                LoadEvent(0.0034, "i_load_b4", (50.0, -10.0)),  # the later wins
+                LoadEvent(0.006, "v_b3", (470.0, 0.0)),  # two at one time,
+                LoadEvent(0.006, "v_b3", (475.0, 0.0)),  # the one listed later wins
+                LoadEvent(on_grid, "v_t_b1", (495.0, 18.0)),
+                LoadEvent(on_grid - 1e-13, "i_load_b2", (62.0, -15.0)),
+                LoadEvent(on_grid + 5e-13, "v_b3", (478.0, 0.0)),  # inside the 1e-12 slack
+                LoadEvent(9 * t_s + 2e-12, "i_load_b4", (55.0, -10.0)),  # past the 1e-12 slack
+                LoadEvent(0.013, "i_load_b2", (60.0, -15.0)),  # back to its initial value
+                LoadEvent(0.015, "v_b3", (478.0, -0.0)),  # -0.0 after +0.0
+            ),
+        )
+        return build_continuous(fixture4), scenario
+
+    def test_input_trajectory_edge_cases(self, edge_case):
+        cont, scenario = edge_case
+        u = input_trajectory(cont, scenario)
+        assert_same_bits(u, reference_input_trajectory(cont, scenario))
+        col = {iid: list(pair) for iid, pair in cont.input_index.items()}
+        np.testing.assert_array_equal(u[0, col["i_load_b2"]], [61.0, -15.0])
+        np.testing.assert_array_equal(u[3:5, col["i_load_b4"]], [[40.0, -10.0], [50.0, -10.0]])
+        np.testing.assert_array_equal(u[6, col["v_b3"]], [475.0, 0.0])
+        np.testing.assert_array_equal(u[7:9, col["v_t_b1"]], [[492.0, 18.0], [495.0, 18.0]])
+        np.testing.assert_array_equal(u[7:9, col["i_load_b2"]], [[61.0, -15.0], [62.0, -15.0]])
+        np.testing.assert_array_equal(u[7:9, col["v_b3"]], [[475.0, 0.0], [478.0, 0.0]])
+        np.testing.assert_array_equal(u[9:11, col["i_load_b4"]], [[50.0, -10.0], [55.0, -10.0]])
+        np.testing.assert_array_equal(u[19:, col["i_load_b2"]], [[60.0, -15.0], [70.0, -15.0]])
+        q = col["v_b3"][1]
+        assert not np.signbit(u[:15, q]).any() and np.signbit(u[15:, q]).all()
+
+    @pytest.mark.parametrize("init", ["steady", "zero"])
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "noiseless"])
+    def test_edge_case_truth(self, edge_case, noisy, init):
+        cont, scenario = edge_case
+        scenario = dataclasses.replace(scenario, init_state=init)
+        std = np.full(cont.n, 0.01) if noisy else None
+        truth = simulate_truth(cont, scenario, process_std=std)
+        x, u = reference_truth(cont, scenario, std)
+        assert np.signbit(truth.u[15:, cont.input_index["v_b3"][1]]).all()
+        assert_same_bits(truth.u, u)
+        assert_same_bits(truth.x, x)
 
 
 class TestGenerateMeasurements:
