@@ -384,14 +384,20 @@ def skips_update(report: BddReport, bdd: BddConfig) -> bool:
 
 
 def _observation(state: FilterState, z_u_prev, z_x_now) -> np.ndarray:
+    """The stacked observation [x_hat; z_u_prev; z_x_now], with one finite
+    check of the measurements; ``linalg.as_vector`` names a bad one."""
     model = state.model
-    z_u_prev = linalg.as_vector(z_u_prev, "z_u_prev")
-    z_x_now = linalg.as_vector(z_x_now, "z_x_now")
+    z_u_prev = np.asarray(z_u_prev, dtype=float).reshape(-1)
+    z_x_now = np.asarray(z_x_now, dtype=float).reshape(-1)
+    observation = np.concatenate([state.x_hat, z_u_prev, z_x_now])
+    if not np.isfinite(observation[model.n :]).all():
+        linalg.as_vector(z_u_prev, "z_u_prev")
+        linalg.as_vector(z_x_now, "z_x_now")
     if z_u_prev.shape[0] != model.l:
         raise DimensionMismatch(f"z_u_prev must have length {model.l}, got {z_u_prev.shape[0]}")
     if z_x_now.shape[0] != model.p:
         raise DimensionMismatch(f"z_x_now must have length {model.p}, got {z_x_now.shape[0]}")
-    return np.concatenate([state.x_hat, z_u_prev, z_x_now])
+    return observation
 
 
 def _estimate(gains: WlsGains, observation, n: int, step: int = 0) -> tuple[JointEstimate, BddReport]:
@@ -455,7 +461,7 @@ def finish_cycle(
         gains = None
     elif kalman is not gains.kalman:
         gains = CycleGains(gains.wls, kalman)
-    return replace(state, x_hat=x_hat, p_x=p_x, step=state.step + 1, gains=gains)
+    return FilterState(model, x_hat, p_x, state.bdd, state.step + 1, gains)
 
 
 def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool = False) -> CycleGains:

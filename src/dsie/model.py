@@ -448,8 +448,9 @@ class AreaModel:
     shared_inputs: dict[str, tuple[tuple[int, int], ...]]
     shared_coordinates: dict[str, tuple[str, ...]]
 
-    @property
-    def neighbors(self):
+    @functools.cached_property
+    def neighbors(self) -> tuple[str, ...]:
+        """The neighbor area ids, sorted; built on first use."""
         return tuple(sorted(self.shared_inputs))
 
     @functools.cached_property

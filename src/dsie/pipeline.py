@@ -179,6 +179,7 @@ class MethodRun:
     thresholds: np.ndarray
     flags: np.ndarray  # bool (steps+1,)
     per_area_mahalanobis: dict = field(default_factory=dict)
+    per_area_thresholds: dict = field(default_factory=dict)
     crosscheck_rejections: list = field(default_factory=list)
     wall_clock_s: float = 0.0
 
@@ -315,6 +316,9 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
 
     Every area reads its own channels out of the run's one measurement
     stream by sensor label and starts from its block of ``x0_est``/``p0``.
+    Each row records every area's distance and the threshold it was tested
+    at (``inf`` on row 0), and a cross-check's coordinates are walked only
+    when it rejected some.
     """
     steps = z_x.shape[0] - 1
     bdd = _bdd(scenario)
@@ -322,7 +326,7 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
     streams = {}
     estimators = []
     for area in prepared.areas:
-        cols_x = [i for sid in area.model.state_ids for i in state_index[sid]]
+        cols_x = np.array([i for sid in area.model.state_ids for i in state_index[sid]], dtype=np.intp)
         rows_x = _rows_by_label(area.model.z_x_labels, prepared.model.z_x_labels)
         rows_u = _rows_by_label(area.model.z_u_labels, prepared.model.z_u_labels)
         streams[area.area_id] = (z_x[:, rows_x], z_u[:, rows_u], cols_x)
@@ -347,21 +351,21 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
     thresholds[0] = np.inf  # row 0 is the initial estimate, never flagged
     flags = np.zeros(steps + 1, dtype=bool)
     per_area = {e.area_id: np.zeros(steps + 1) for e in estimators}
+    per_area_thresholds = {e.area_id: np.full(steps + 1, np.inf) for e in estimators}
     rejections = []
     for e in estimators:
-        _, _, cols_x = streams[e.area_id]
-        x_est[0, cols_x] = e.state.x_hat
+        x_est[0, streams[e.area_id][2]] = e.state.x_hat
     for k in range(1, steps + 1):
-        meas = {
-            aid: (streams[aid][1][k - 1], streams[aid][0][k]) for aid in streams
-        }
+        meas = {aid: (z_u_a[k - 1], z_x_a[k]) for aid, (z_x_a, z_u_a, _) in streams.items()}
         results = sorted(run_round(estimators, meas, transport).items())
         for aid, res in results:
-            _, _, cols_x = streams[aid]
-            x_est[k, cols_x] = res.state.x_hat
+            x_est[k, streams[aid][2]] = res.state.x_hat
             per_area[aid][k] = res.bdd.distance
+            per_area_thresholds[aid][k] = res.bdd.threshold
             flags[k] |= res.bdd.flagged
             for nb, check in res.cross_checks.items():
+                if all(check.accept):
+                    continue
                 for i, ok in enumerate(check.accept):
                     if not ok:
                         rejections.append(
@@ -387,6 +391,7 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
         thresholds,
         flags,
         per_area_mahalanobis=per_area,
+        per_area_thresholds=per_area_thresholds,
         crosscheck_rejections=rejections,
     )
 
@@ -534,6 +539,7 @@ def write_outputs(result: dict, outdir) -> None:
         mahal_blocks = [(["mahalanobis"], run.mahalanobis[:, None]), (["threshold"], run.thresholds[:, None])]
         for aid, series_a in sorted(run.per_area_mahalanobis.items()):
             mahal_blocks.append(([f"mahalanobis:{aid}"], series_a[:, None]))
+            mahal_blocks.append(([f"threshold:{aid}"], run.per_area_thresholds[aid][:, None]))
         _write_long_csv(os.path.join(outdir, f"mahalanobis_{name}.csv"), truth.times, mahal_blocks)
     with open(os.path.join(outdir, "report.json"), "w") as f:
         json.dump(result["report"], f, indent=2, sort_keys=True)

@@ -644,6 +644,111 @@ class TestRoundGainsReuse:
         assert len(calls) < area_rounds / 2
 
 
+LOSSY_HOLD = {"drop_rate": 0.2, "delay_rate": 0.1, "bdd_policy": "hold"}
+
+
+def forget_round_carry(estimators):
+    """Make the next round rebuild what an area derives from covariances
+    alone (message blocks, gate widths, fusion inputs by identity), keeping
+    the gains."""
+    for est in estimators:
+        est.outgoing = None
+        est.gates = {}
+        est.fused = None
+
+
+class TestRoundCarry:
+    """What an area carries from round to round besides its gains equals
+    what every round would rebuild, bit for bit."""
+
+    @pytest.mark.parametrize("changes", [{}, LOSSY_HOLD], ids=["alert-only", "lossy-hold"])
+    @pytest.mark.parametrize(
+        "name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
+    )
+    def test_carried_rounds_equal_rebuilt_rounds(self, monkeypatch, name, changes):
+        inputs = ddsie_inputs(name, **changes)
+        kept = []
+
+        def tracked(estimators, measurements, transport=None):
+            before = [e.outgoing for e in estimators]
+            results = run_round(estimators, measurements, transport)
+            kept.append(sum(b is not None and b is e.outgoing for b, e in zip(before, estimators)))
+            return results
+
+        monkeypatch.setattr(pipeline, "run_round", tracked)
+        run = pipeline.run_ddsie(*inputs)
+
+        def rebuilt(estimators, measurements, transport=None):
+            forget_round_carry(estimators)
+            return run_round(estimators, measurements, transport)
+
+        monkeypatch.setattr(pipeline, "run_round", rebuilt)
+        ref = pipeline.run_ddsie(*inputs)
+        np.testing.assert_array_equal(run.x_est, ref.x_est)
+        for aid, series in ref.per_area_mahalanobis.items():
+            np.testing.assert_array_equal(run.per_area_mahalanobis[aid], series, err_msg=aid)
+            np.testing.assert_array_equal(run.per_area_thresholds[aid], ref.per_area_thresholds[aid])
+        np.testing.assert_array_equal(run.flags, ref.flags)
+        assert ref.flags.any() and ref.crosscheck_rejections
+
+        def records(rejections):
+            keys = [(r["step"], r["area"], r["neighbor"], r["coordinate"]) for r in rejections]
+            values = np.array([[r["difference"], r["threshold"]] for r in rejections])
+            return keys, values
+
+        keys, values = records(run.crosscheck_rejections)
+        ref_keys, ref_values = records(ref.crosscheck_rejections)
+        assert keys == ref_keys
+        np.testing.assert_array_equal(values, ref_values)
+        if not changes:  # settled areas keep their blocks from round to round
+            assert sum(kept) > len(kept)
+
+    def test_a_changed_kappa_gates_afresh(self, fixture4):
+        _, streams = truth_and_streams(fixture4, steps=60, seed=7)
+        ests = [
+            make_area_estimator(area, local.x[0], 1.0) for area, local, _, _ in streams.values()
+        ]
+
+        def meas(k):
+            return {aid: (streams[aid][3][k - 1], streams[aid][2][k]) for aid in streams}
+
+        for k in range(1, 60):
+            run_round(ests, meas(k))
+        states = [e.state for e in ests]
+        widths = {}
+        for forget in (False, True):
+            for e, state in zip(ests, states):
+                e.state, e.kappa = state, 2.0
+            if forget:
+                forget_round_carry(ests)
+            results = run_round(ests, meas(60))
+            widths[forget] = [c.threshold for r in results.values() for c in r.cross_checks.values()]
+        assert len(widths[False]) == 2
+        for carried, rebuilt in zip(widths[False], widths[True]):
+            np.testing.assert_array_equal(carried, rebuilt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stream, name", [(2, "z_x_now"), (3, "z_u_prev")])
+    def test_a_bad_row_after_the_gains_settle_raises(self, monkeypatch, stream, name, bad):
+        inputs = list(ddsie_inputs("fixture4_load_change"))
+        carried = []
+
+        def tracked(estimators, measurements, transport=None):
+            carried.append(all(e.state.gains is not None for e in estimators))
+            return run_round(estimators, measurements, transport)
+
+        monkeypatch.setattr(pipeline, "run_round", tracked)
+        pipeline.run_ddsie(*inputs)
+        last = max(k for k, c in enumerate(carried, 1) if c)  # a late round that carries its gains
+        assert last > 300
+        inputs[stream] = inputs[stream].copy()
+        inputs[stream][last - (stream == 3), 0] = bad  # round k reads z_x row k and z_u row k - 1
+        carried.clear()
+        with pytest.raises(ValueError, match=f"{name} contains NaN or Inf"):
+            pipeline.run_ddsie(*inputs)
+        assert len(carried) == last and carried[-1]
+
+
 class TestGivenCovariancesOnlyAreValidated:
     """``linalg.symmetrize_psd`` checks the covariances a run is given: each
     initial P0, and the tracking Q once per tracking gains computation. The

@@ -135,6 +135,7 @@ class TestWrittenRun:
         np.testing.assert_array_equal(series.pop("threshold"), run.thresholds)
         for aid, dist in run.per_area_mahalanobis.items():
             np.testing.assert_array_equal(series.pop(f"mahalanobis:{aid}"), dist)
+            np.testing.assert_array_equal(series.pop(f"threshold:{aid}"), run.per_area_thresholds[aid])
         assert not series
         assert (method == "ddsie") == bool(run.per_area_mahalanobis)
 
@@ -154,6 +155,30 @@ def test_distance_reaches_its_threshold_exactly_on_flagged_rows(name, seed):
         assert not run.flags.all()
         if method != "wls":  # wls row 0 is a real snapshot
             assert run.flags[1:].any() and run.thresholds[0] == np.inf
+
+
+@pytest.mark.parametrize("name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"])
+def test_ddsie_area_rows_give_the_flag_on_every_row(name, tmp_path):
+    """mahalanobis_ddsie.csv writes each area's threshold beside its
+    distance, infinite on row 0; on every row the OR over areas of
+    distance >= threshold is the run's flag."""
+    scenario = replace(load_scenario(bundled_scenario_path(name)), estimators=("ddsie",), seed=1)
+    result = run_scenario(load_network(bundled_network_path(scenario.network)), scenario)
+    write_outputs(result, tmp_path)
+    run = result["series"]["runs"]["ddsie"]
+    _, series = read_long_csv(tmp_path / "mahalanobis_ddsie.csv")
+    areas = sorted(run.per_area_mahalanobis)
+    assert len(areas) > 1
+    assert list(series) == ["mahalanobis", "threshold"] + [
+        f"{kind}:{aid}" for aid in areas for kind in ("mahalanobis", "threshold")
+    ]
+    flagged = np.zeros(run.flags.shape, dtype=bool)
+    for aid in areas:
+        threshold = series[f"threshold:{aid}"]
+        assert threshold[0] == np.inf and np.isfinite(threshold[1:]).all()
+        flagged |= series[f"mahalanobis:{aid}"] >= threshold
+    np.testing.assert_array_equal(flagged, run.flags)
+    assert run.flags.any()
 
 
 def bundled(name, **changes):
