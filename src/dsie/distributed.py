@@ -28,8 +28,8 @@ to the objects it came from (the local covariance, the neighbor's block)
 and reused only while the round's objects are those same objects (``is``),
 so a round that carries its gains does only the data work, and a state
 whose gains are dropped (``gains = None``) or replaced rebuilds them. Over
-30 seeds of the benchmark workloads, 85 % of fixture4-mc's area-rounds and
-55 % of example13-cli's carry or share their WLS gains, and none of
+30 seeds of the benchmark workloads, 88 % of fixture4-mc's area-rounds and
+85 % of example13-cli's carry or share their WLS gains, and none of
 fixture4-soak's, where every round of a lossy hold run recomputes them.
 """
 

@@ -207,7 +207,7 @@ class CycleGains:
 
 def settled(p_next, p) -> bool:
     """Whether one cycle left the covariance P unchanged to a relative 1e-14."""
-    return p_next is p or float(np.max(np.abs(p_next - p))) <= 1e-14 * float(np.max(np.abs(p)))
+    return p_next is p or float(np.abs(p_next - p).max()) <= 1e-14 * float(np.abs(p).max())
 
 
 def _array_bytes(value) -> int:
@@ -292,7 +292,7 @@ def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
 def apply_wls(gains: WlsGains, observations):
     """Estimates and residual distances of one observation, or of each row."""
     w = observations @ gains.whiten.T
-    return observations @ gains.wls.T, np.sqrt(np.sum(w * w, axis=-1))
+    return observations @ gains.wls.T, np.sqrt((w * w).sum(axis=-1))
 
 
 def _report(distance, threshold: float, dof: int) -> BddReport:

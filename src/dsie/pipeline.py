@@ -13,6 +13,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -196,6 +197,20 @@ def _bdd(scenario: Scenario) -> BddConfig:
     return BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta, policy=scenario.bdd_policy)
 
 
+def _area_bdd(bdd: BddConfig, areas) -> BddConfig:
+    """The gate each ddsie area tests at, so that the OR of the areas'
+    flags alarms at about ``bdd.alpha`` on quiet data: the Sidak level
+    alpha_N = 1 - (1 - alpha)^(1/N) over the N areas that can alarm, those
+    with l + p - m >= 1 redundant rows. With N <= 1, or a fixed ``zeta``
+    (a threshold, not a level), it is ``bdd`` itself, so a single area
+    tests exactly as dsie does.
+    """
+    alarming = sum(a.model.l + a.model.p - a.model.m >= 1 for a in areas)
+    if bdd.zeta is not None or alarming <= 1:
+        return bdd
+    return dataclasses.replace(bdd, alpha=-math.expm1(math.log1p(-bdd.alpha) / alarming))
+
+
 def _empty_run(name, steps, n, m) -> MethodRun:
     """Zeroed series of a filter run whose row 0, the initial estimate, is
     never flagged: its threshold is infinite."""
@@ -316,12 +331,12 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
 
     Every area reads its own channels out of the run's one measurement
     stream by sensor label and starts from its block of ``x0_est``/``p0``.
-    Each row records every area's distance and the threshold it was tested
-    at (``inf`` on row 0), and a cross-check's coordinates are walked only
-    when it rejected some.
+    Each area tests at ``_area_bdd``. Each row records every area's
+    distance and the threshold it was tested at (``inf`` on row 0), and a
+    cross-check's coordinates are walked only when it rejected some.
     """
     steps = z_x.shape[0] - 1
-    bdd = _bdd(scenario)
+    bdd = _area_bdd(_bdd(scenario), prepared.areas)
     state_index = prepared.continuous.state_index
     streams = {}
     estimators = []
@@ -471,6 +486,13 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
             input_mse = mse_per_variable(run.u_est, truth.u, input_labels, skip)
             entry["mse_input"] = input_mse
             entry["mse_input_mean"] = mean_mse(input_mse)
+        if run.per_area_mahalanobis:
+            area_bdd = _area_bdd(_bdd(scenario), prepared.areas)
+            entry["area_alpha"] = None if area_bdd.zeta is not None else area_bdd.alpha
+            entry["area_false_alarm_rates"] = {
+                aid: false_alarm_rate(series >= run.per_area_thresholds[aid], windows, truth.times)
+                for aid, series in sorted(run.per_area_mahalanobis.items())
+            }
         if run.crosscheck_rejections:
             entry["crosscheck_rejections"] = run.crosscheck_rejections
         methods_report[method] = entry

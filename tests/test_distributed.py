@@ -843,9 +843,14 @@ class TestDdsiePipeline:
         assert np.isfinite(result["report"]["methods"]["ddsie"]["mse_state_mean"])
 
     def test_run_scenario_runs_ddsie_under_attack(self):
+        """Finite estimates, and a flag within one step of the onset, as
+        criterion 6 asks of dsie."""
         scenario, prepared, *_ = ddsie_inputs("fixture4_attack", estimators=("ddsie",))
         run = pipeline.run_scenario(prepared.topology, scenario)["series"]["runs"]["ddsie"]
         assert np.all(np.isfinite(run.x_est))
+        onset = int(round(scenario.attacks[0].start / scenario.t_s))
+        hits = np.nonzero(run.flags[onset:])[0]
+        assert hits.size and hits[0] <= 1
 
 
 class TestOneStream:

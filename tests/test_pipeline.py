@@ -2,11 +2,13 @@
 
 import csv
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dsie import estimator, linalg, model, pipeline
+from dsie.metrics import false_alarm_rate
 from dsie.network import load_network
 from dsie.pipeline import _write_long_csv, run_scenario, write_outputs
 from dsie.sim import LoadEvent, load_scenario
@@ -179,6 +181,75 @@ def test_ddsie_area_rows_give_the_flag_on_every_row(name, tmp_path):
         flagged |= series[f"mahalanobis:{aid}"] >= threshold
     np.testing.assert_array_equal(flagged, run.flags)
     assert run.flags.any()
+
+
+def stand_in_areas(*dofs):
+    """Areas whose models have ``dof`` redundant rows each (l + p - m)."""
+    return [SimpleNamespace(model=SimpleNamespace(l=2, p=dof + 3, m=5)) for dof in dofs]
+
+
+class TestSidakLevel:
+    """Each ddsie area tests at alpha_N = 1 - (1 - alpha)^(1/N) over the N
+    areas that can alarm, so the OR of their flags alarms at about alpha."""
+
+    def test_one_area_keeps_the_config_itself(self):
+        bdd = estimator.BddConfig(alpha=0.01)
+        assert pipeline._area_bdd(bdd, stand_in_areas(4)) is bdd
+
+    def test_four_areas_alarm_together_at_alpha(self):
+        bdd = estimator.BddConfig(alpha=0.01, policy="hold")
+        area_bdd = pipeline._area_bdd(bdd, stand_in_areas(1, 2, 3, 4))
+        assert area_bdd.policy == "hold" and area_bdd.zeta is None
+        assert abs((1 - area_bdd.alpha) ** 4 - 0.99) <= 1e-15 * 0.99
+
+    def test_a_fixed_threshold_stays_as_given(self):
+        bdd = estimator.BddConfig(alpha=0.01, zeta=5.0)
+        assert pipeline._area_bdd(bdd, stand_in_areas(1, 2, 3, 4)) is bdd
+
+    def test_an_area_that_cannot_alarm_is_not_counted(self):
+        bdd = estimator.BddConfig(alpha=0.01)
+        assert pipeline._area_bdd(bdd, stand_in_areas(0, 4)) is bdd
+        assert pipeline._area_bdd(bdd, stand_in_areas(3, 0, 5)) == pipeline._area_bdd(
+            bdd, stand_in_areas(3, 5)
+        )
+
+    def test_each_area_row_and_the_report_give_the_level(self, tmp_path):
+        topology, scenario = bundled("example13_load_change", estimators=("ddsie",), seed=1)
+        result = run_scenario(topology, scenario)
+        write_outputs(result, tmp_path)
+        times, series = read_long_csv(tmp_path / "mahalanobis_ddsie.csv")
+        entry = result["report"]["methods"]["ddsie"]
+        areas = pipeline.prepare(topology, scenario).areas
+        assert len(areas) == 4
+        alpha_n = -np.expm1(np.log1p(-scenario.bdd_alpha) / 4)
+        assert entry["area_alpha"] == alpha_n
+        windows = [(a.start, a.end) for a in scenario.attacks]
+        for area in areas:
+            m = area.model
+            threshold = estimator.BddConfig(alpha=alpha_n).threshold(m.l + m.p - m.m)
+            rows = series[f"threshold:{area.area_id}"]
+            assert rows[0] == np.inf and (rows[1:] == threshold).all()
+            flags = series[f"mahalanobis:{area.area_id}"] >= rows
+            assert entry["area_false_alarm_rates"][area.area_id] == false_alarm_rate(flags, windows, times)
+
+
+class TestDdsieAlarmLevel:
+    """The OR of the areas' flags keeps criterion 7's band on quiet runs."""
+
+    @pytest.mark.parametrize("name", ["fixture4_load_change", "example13_load_change"])
+    def test_quiet_run_level_is_in_criterion_7s_band(self, name):
+        base = load_scenario(bundled_scenario_path(name))
+        topology, scenario = bundled(
+            name,
+            duration=4000 * base.t_s,
+            load_events=(),
+            attacks=(),
+            seed=123,
+            estimators=("ddsie",),
+            estimate_offset_fraction=0.0,
+        )
+        far = run_scenario(topology, scenario)["report"]["methods"]["ddsie"]["false_alarm_rate"]
+        assert 0.001 <= far <= 0.03, far
 
 
 def bundled(name, **changes):
