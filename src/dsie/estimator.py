@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -78,13 +78,22 @@ class JointEstimate:
     """Joint (state, input) estimate with its full covariance.
 
     ``cov`` is the (n+m) x (n+m) joint covariance; the block accessors
-    slice it consistently with (x, u) stacking.
+    slice it consistently with (x, u) stacking. ``y_hat`` is the stacked
+    [x_hat; u_hat] the estimate was split from, or None (``stacked``).
     """
 
     x_hat: np.ndarray
     u_hat: np.ndarray
     cov: np.ndarray
     step: int = 0
+    y_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The stacked [x_hat; u_hat]: ``y_hat``, or the two joined."""
+        if self.y_hat is None:
+            return np.concatenate([self.x_hat, self.u_hat])
+        return self.y_hat
 
     @property
     def n(self):
@@ -306,8 +315,7 @@ def detect_bad_data(joint: JointEstimate, observation, design, weight, config: B
     W = L L', with rows - unknowns degrees of freedom: the distance the
     gains path takes from its QR.
     """
-    est = np.concatenate([joint.x_hat, joint.u_hat])
-    residual = linalg.as_vector(observation, "observation") - design @ est
+    residual = linalg.as_vector(observation, "observation") - design @ joint.stacked
     factor = linalg.cholesky(np.asarray(weight, dtype=float), "bad-data weight")
     w = sla.solve_triangular(factor, residual, lower=True)
     dof = design.shape[0] - design.shape[1]
@@ -340,7 +348,7 @@ def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
         stack = np.zeros((n + fixed.r0.shape[0], unknowns))
         stack[:n, :n] = p_inv
         stack[n:] = fixed.r0
-        q_stack, r = np.linalg.qr(stack)
+        q_stack, r = linalg.qr(stack)
         rinv = linalg.full_rank_inverse(r, rows)
     except RankDeficient as exc:
         raise RankDeficient(
@@ -402,7 +410,9 @@ def _observation(state: FilterState, z_u_prev, z_x_now) -> np.ndarray:
 
 def _estimate(gains: WlsGains, observation, n: int, step: int = 0) -> tuple[JointEstimate, BddReport]:
     estimate, distance = apply_wls(gains, observation)
-    joint = JointEstimate(x_hat=estimate[:n], u_hat=estimate[n:], cov=gains.cov, step=step)
+    joint = JointEstimate(
+        x_hat=estimate[:n], u_hat=estimate[n:], cov=gains.cov, step=step, y_hat=estimate
+    )
     return joint, _report(distance, gains.threshold, gains.dof)
 
 
@@ -422,7 +432,7 @@ def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate
 def predict(joint: JointEstimate, model: DiscreteModel):
     """Propagate the joint estimate one step: x = A_d x + B_d u."""
     gains = kalman_gains(model, joint.cov)
-    return gains.ab @ np.concatenate([joint.x_hat, joint.u_hat]), gains.p_pred
+    return gains.ab @ joint.stacked, gains.p_pred
 
 
 def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
@@ -432,12 +442,17 @@ def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
     return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
 
 
+def _with_gains(state: FilterState, gains: CycleGains) -> FilterState:
+    """``state`` carrying ``gains``."""
+    return FilterState(state.model, state.x_hat, state.p_x, state.bdd, state.step, gains)
+
+
 def with_wls_gains(state: FilterState) -> FilterState:
     """The first half of a cycle: ``state`` carrying WLS gains, its own or
     ones computed at its P_x when it carries none."""
     if state.gains is not None:
         return state
-    return replace(state, gains=CycleGains(joint_wls_gains(state.model, state.p_x, state.bdd), None))
+    return _with_gains(state, CycleGains(joint_wls_gains(state.model, state.p_x, state.bdd), None))
 
 
 def finish_cycle(
@@ -454,8 +469,7 @@ def finish_cycle(
     model = state.model
     if kalman is None:
         kalman = kalman_gains(model, joint.cov)
-    estimate = np.concatenate([joint.x_hat, joint.u_hat])
-    x_hat, p_x = apply_kalman(kalman, model, estimate, z_x_now, held)
+    x_hat, p_x = apply_kalman(kalman, model, joint.stacked, z_x_now, held)
     gains = state.gains
     if gains is None or not settled(p_x, state.p_x):
         gains = None
@@ -489,7 +503,7 @@ def with_shared_gains(state: FilterState, fuses: bool = False) -> FilterState:
     """
     if state.gains is not None:
         return state
-    return replace(state, gains=_shared_cycle_gains(state.model, state.p_x, state.bdd, fuses))
+    return _with_gains(state, _shared_cycle_gains(state.model, state.p_x, state.bdd, fuses))
 
 
 def cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
@@ -519,7 +533,7 @@ def dsie_step(state: FilterState, z_u_prev, z_x_now):
     model = state.model
     observation = _observation(state, z_u_prev, z_x_now)
     if state.gains is None:
-        state = replace(state, gains=cycle_gains(model, state.p_x, state.bdd))
+        state = _with_gains(state, cycle_gains(model, state.p_x, state.bdd))
     joint, report = _estimate(state.gains.wls, observation, model.n, state.step)
     held = skips_update(report, state.bdd)
     z_x_now = observation[model.n + model.l :]

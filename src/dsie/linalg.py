@@ -2,12 +2,15 @@
 
 All routines are pure functions on float64 numpy arrays and never mutate
 their arguments, so they are safe to call from concurrent area estimators.
-Importing the module runs numpy's and scipy's OpenBLAS on one thread.
+Every QR factorisation goes through ``qr``, as every Cholesky factorisation
+goes through ``cholesky``. Importing the module runs numpy's and scipy's
+OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import logging
 import os
 from dataclasses import dataclass
@@ -98,9 +101,9 @@ def cholesky(a, name="matrix"):
     """Lower Cholesky factor of the symmetric ``a``; raises NotPositiveDefinite if it has none.
 
     Every Cholesky factorisation and solve in the package goes through this
-    and ``cho_solve``. They and ``triangular_inverse`` call LAPACK directly,
-    without numpy's and scipy's per-call argument handling, so callers pass
-    finite float arrays.
+    and ``cho_solve``. They, ``triangular_inverse`` and ``qr`` call LAPACK
+    directly, without numpy's and scipy's per-call argument handling, so
+    callers pass finite float arrays.
     """
     if a.size == 0:
         return np.zeros(a.shape)
@@ -126,6 +129,50 @@ def triangular_inverse(t, lower: bool):
     return inv
 
 
+@functools.lru_cache(maxsize=None)
+def _qr_plan(m: int, n: int):
+    """(dgeqrf workspace, dorgqr workspace, mask below R's diagonal) of an
+    m x n QR, with the workspaces queried and floored as ``np.linalg.qr``
+    does, so blocked shapes take the same path."""
+    k = min(m, n)
+    geqrf, _ = lapack.dgeqrf_lwork(m, n)
+    _, orgqr, _ = lapack.dorgqr(np.zeros((m, k), order="F"), np.zeros(k), lwork=-1)
+    below = np.tri(k, n, -1, dtype=bool)
+    below.setflags(write=False)
+    return max(1, n, int(geqrf)), max(1, k, int(orgqr[0])), below
+
+
+def qr(a):
+    """Reduced QR factorisation a = Q R, bit for bit that of ``np.linalg.qr``.
+
+    Calls LAPACK's dgeqrf and dorgqr directly, with the workspace sizes
+    numpy queries for the shape (kept per shape), and returns Q and R
+    C-contiguous, as numpy does: products with a Fortran-ordered Q take
+    another BLAS path and differ in the last bits.
+    """
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0:
+        return np.zeros((m, k)), np.zeros((k, n))
+    geqrf, orgqr, below = _qr_plan(m, n)
+    factors, tau, _, info = lapack.dgeqrf(a, lwork=geqrf)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+    r = np.where(below, 0.0, factors[:k])
+    q, _, info = lapack.dorgqr(factors[:, :k], tau, lwork=orgqr, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+    return np.ascontiguousarray(q), r
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """A read-only n x n identity, built once per size."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def kalman_update(p, h, r, name="innovation covariance"):
     """Measurement update of the covariance ``p`` by rows ``h`` with noise ``r``.
 
@@ -140,7 +187,7 @@ def kalman_update(p, h, r, name="innovation covariance"):
     s = hp @ h.T + r
     factor = cholesky(0.5 * (s + s.T), name)
     gain = cho_solve(factor, hp).T
-    p_next = (np.eye(p.shape[0]) - gain @ h) @ p
+    p_next = (_identity(p.shape[0]) - gain @ h) @ p
     return gain, 0.5 * (p_next + p_next.T), factor
 
 
@@ -151,9 +198,9 @@ def full_rank_inverse(rf, rows: int):
     max(rows, columns) * eps * max |diag R|.
     """
     p = rf.shape[1]
-    diag = np.abs(np.diag(rf))
+    diag = np.abs(rf.diagonal())
     tol = max(rows, p) * _EPS * (diag.max() if diag.size else 0.0)
-    if diag.size == 0 or np.any(diag <= tol):
+    if diag.size == 0 or (diag <= tol).any():
         bad = [int(i) for i in np.nonzero(diag <= tol)[0]]
         raise RankDeficient(
             f"H has column rank < {p}", rank=int(np.sum(diag > tol)), deficient_columns=bad
@@ -172,7 +219,7 @@ def whitened_qr(h, r):
     if q < p:
         raise RankDeficient(f"underdetermined system: {q} rows < {p} unknowns", rank=q)
     l = cholesky(r, "R")
-    qf, rf = np.linalg.qr(sla.solve_triangular(l, h, lower=True))
+    qf, rf = qr(sla.solve_triangular(l, h, lower=True))
     rinv = full_rank_inverse(rf, q)
     covariance = rinv @ rinv.T
     return l, qf, rinv, 0.5 * (covariance + covariance.T)

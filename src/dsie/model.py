@@ -391,7 +391,7 @@ def factor_fixed_rows(model: DiscreteModel) -> FixedRows:
     whiten = linalg.triangular_inverse(
         linalg.cholesky(weight, "fixed-row weight diag(R_u, C Q C' + R_x)"), lower=True
     )
-    q0, r0 = np.linalg.qr(whiten @ stacked_design(model)[n:])
+    q0, r0 = linalg.qr(whiten @ stacked_design(model)[n:])
     return FixedRows(whiten=whiten, q0=q0, r0=r0, c0=q0.T @ whiten)
 
 

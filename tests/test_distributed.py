@@ -15,11 +15,12 @@ from dsie.distributed import (
     cross_check,
     finalize_phase,
     fuse,
+    fusion_gains,
     local_phase,
     make_area_estimator,
     run_round,
 )
-from dsie.errors import CoordinateMismatch
+from dsie.errors import CoordinateMismatch, NotPositiveDefinite
 from dsie.estimator import JointEstimate, dsie_step, estimate_input, initial_state
 from dsie.model import build_continuous, build_discrete, check_joint_rank, partition
 from dsie.network import AreaSpec, load_network
@@ -312,6 +313,25 @@ class TestFuse:
             np.concatenate([fused.x_hat, fused.u_hat]), oracle, rtol=1e-10, atol=1e-12
         )
         np.testing.assert_allclose(fused.cov, gram, rtol=1e-8)
+
+    def test_an_indefinite_local_covariance_is_fused_at_its_floored_eigenvalues(self, fixture4):
+        ests = area_estimators(fixture4)
+        east = next(e for e in ests if e.area_id == "east")
+        dim = east.area.model.n + east.area.model.m
+        idx = east.area.shared_index["west"].stacked
+        rng = np.random.default_rng(46)
+        cov = random_spd(rng, dim)
+        cov[idx, idx] -= 20.0
+        p_nb = random_spd(rng, idx.shape[0])
+        u = 0.5 * (cov + cov.T)
+        with pytest.raises(NotPositiveDefinite):
+            linalg.cholesky(u[np.ix_(idx, idx)] + p_nb)
+        floored = linalg.clamp_eigenvalues(u, 1e-12 * max(np.trace(u), 1.0))
+        got = fusion_gains(cov, idx, p_nb)
+        expected = fusion_gains(floored, idx, p_nb)
+        assert got.gain.tobytes() == expected.gain.tobytes()
+        assert got.cov.tobytes() == expected.cov.tobytes()
+        np.testing.assert_array_equal(got.idx, idx)
 
     def test_fusion_never_inflates_variance(self, fixture4):
         _, streams = truth_and_streams(fixture4, steps=5, seed=2)

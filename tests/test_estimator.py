@@ -22,7 +22,7 @@ from dsie.estimator import (
     wls_snapshot,
 )
 from dsie import estimator, linalg, pipeline
-from dsie.errors import DimensionMismatch, RankDeficient
+from dsie.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 from dsie.model import DiscreteModel, build_continuous, build_discrete, partition, stacked_design
 from dsie.network import load_network
 from dsie.sim import (
@@ -281,6 +281,23 @@ class TestDetectBadData:
         assert screened.distance == pytest.approx(report.distance, rel=1e-9)
         assert (screened.dof, screened.threshold) == (report.dof, report.threshold)
         assert not screened.diagonal_fallback
+
+
+class TestIndefiniteCovariance:
+    def test_an_indefinite_p_x_gets_the_gains_of_its_floored_eigenvalues(self):
+        model = bundled_model("fixture4_load_change", "east")
+        rng = np.random.default_rng(45)
+        q, _ = np.linalg.qr(rng.normal(size=(model.n, model.n)))
+        p_x = (q * np.linspace(-0.5, 2.0, model.n)) @ q.T
+        p = 0.5 * (p_x + p_x.T)
+        with pytest.raises(NotPositiveDefinite):
+            linalg.cholesky(p)
+        floored = linalg.clamp_eigenvalues(p, estimator._P_FLOOR * max(np.trace(p), 1.0))
+        got = estimator.joint_wls_gains(model, p_x, BddConfig())
+        expected = estimator.joint_wls_gains(model, floored, BddConfig())
+        for name in ("wls", "cov", "whiten"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert (got.dof, got.threshold) == (expected.dof, expected.threshold)
 
 
 class TestResidualDistance:

@@ -1,17 +1,20 @@
 """Numeric kernel tests: WLS, Mahalanobis, ZOH discretization, PSD hygiene,
-the Kalman measurement update, and the one-thread OpenBLAS pools that importing dsie sets up."""
+the Kalman measurement update, the QR factorisation, and the one-thread
+OpenBLAS pools that importing dsie sets up."""
 
 import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from dsie import linalg
+from dsie import linalg, pipeline
 from dsie.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 from dsie.linalg import (
     clamp_eigenvalues,
@@ -20,8 +23,11 @@ from dsie.linalg import (
     symmetrize_psd,
     wls_solve,
 )
+from dsie.model import stacked_design
+from dsie.network import load_network
+from dsie.sim import load_scenario
 
-from conftest import random_spd
+from conftest import bundled_network_path, bundled_scenario_path, random_spd
 
 
 class TestWlsSolve:
@@ -200,6 +206,95 @@ class TestKalmanUpdate:
     def test_an_innovation_covariance_that_does_not_factor_is_named(self):
         with pytest.raises(NotPositiveDefinite, match="fusion innovation covariance"):
             linalg.kalman_update(np.eye(3), np.eye(3)[:2], -2.0 * np.eye(2), "fusion innovation covariance")
+
+
+def _prepared(name):
+    scenario = load_scenario(bundled_scenario_path(name))
+    return pipeline.prepare(load_network(bundled_network_path(scenario.network)), scenario)
+
+
+def _joint_stack(model, p_x):
+    """The stack [[L_p^-1, 0], [R_0]] that ``joint_wls_gains`` QR-factors at P_x."""
+    n, r0 = model.n, model.fixed_rows.r0
+    stack = np.zeros((n + r0.shape[0], n + model.m))
+    stack[:n, :n] = linalg.triangular_inverse(linalg.cholesky(p_x), lower=True)
+    stack[n:] = r0
+    return stack
+
+
+def _fixed_rows_input(model):
+    """The whitened fixed rows that ``factor_fixed_rows`` QR-factors."""
+    return model.fixed_rows.whiten @ stacked_design(model)[model.n :]
+
+
+def _assert_numpy_qr(a, q, r):
+    """(q, r) are ``np.linalg.qr(a)`` bit for bit, both C-contiguous."""
+    expected_q, expected_r = np.linalg.qr(a)
+    for got, expected in ((q, expected_q), (r, expected_r)):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous
+
+
+class TestQr:
+    @pytest.mark.parametrize(
+        "name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
+    )
+    def test_every_bundled_area_stack_matches_numpy(self, name):
+        rng = np.random.default_rng(41)
+        for area in _prepared(name).areas:
+            model = area.model
+            stack = _joint_stack(model, random_spd(rng, model.n, condition=1e4))
+            _assert_numpy_qr(stack, *linalg.qr(stack))
+            fixed = model.fixed_rows
+            _assert_numpy_qr(_fixed_rows_input(model), fixed.q0, fixed.r0)
+
+    def test_the_centralized_example13_stack_matches_numpy(self):
+        model = _prepared("example13_load_change").model
+        stack = _joint_stack(model, random_spd(np.random.default_rng(42), model.n, condition=1e4))
+        _assert_numpy_qr(stack, *linalg.qr(stack))
+        h, r = model.measurement_design
+        whitened = np.linalg.solve(np.linalg.cholesky(r), h)
+        _assert_numpy_qr(whitened, *linalg.qr(whitened))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(7, 7), (9, 1), (1, 1), (3, 8), (200, 150), (150, 200), (300, 128), (6, 0), (0, 4)],
+        ids=str,
+    )
+    def test_shapes_match_numpy(self, shape):
+        # 150, 200 and 128 columns reach LAPACK's blocked code (k >= 128)
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        _assert_numpy_qr(a, *linalg.qr(a))
+
+    def test_the_argument_is_left_unmodified(self):
+        for order in ("C", "F"):
+            a = np.asarray(np.random.default_rng(43).normal(size=(12, 5)), order=order)
+            before = a.copy()
+            linalg.qr(a)
+            assert a.tobytes() == before.tobytes()
+
+    def test_concurrent_callers_on_new_shapes(self):
+        linalg._qr_plan.cache_clear()
+        rng = np.random.default_rng(44)
+        mats = [rng.normal(size=(40 + 3 * i, 5 + 2 * i)) for i in range(8)]
+        barrier = threading.Barrier(4, timeout=60)
+
+        def work(offset):
+            barrier.wait()
+            return [(j, linalg.qr(mats[j])) for j in np.roll(np.arange(len(mats)), offset)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(work, offset) for offset in range(4)]
+                runs = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            for j, (q, r) in run:
+                _assert_numpy_qr(mats[j], q, r)
 
 
 def _openblas_library(package, pattern):
