@@ -8,31 +8,22 @@ delivers (or drops) them, and each area cross-checks incoming estimates,
 fuses the accepted coordinates as extra measurements, and finishes the
 cycle (``estimator.finish_cycle``). A missing or rejected message degrades
 to local-only estimation for that neighbor; nothing aborts the round. An
-area reuses its local WLS gains while its P_x is settled, and its fusion
-and Kalman gains while the fusion inputs are also those of the last round.
+area with no neighbors runs dsie's cycle exactly.
 
-A run's rounds are clean while, in every round so far, each area got each
-neighbor's message for that step and accepted every coordinate. Under the
-alert-only policy the covariance path of a clean run depends on the
-models, P0 and the bad-data settings only, so its areas share their gains
-with every later run through ``estimator.gains_table``, as dsie does: the
-WLS gains (``estimator.with_shared_gains``) and the fusion and Kalman
-gains. From the first unclean round on, the run's areas compute them
-alone. An area with no neighbors runs dsie's cycle exactly.
-
-Next to its gains, an area carries what a round derives from covariances
-alone (``AreaEstimator``): each neighbor's block of its joint covariance
-for the messages, the gate widths of each neighbor's coordinates, and
-which blocks its fusion gains were taken at. Each is held with references
-to the objects it came from (the local covariance, the neighbor's block)
-and reused only while the round's objects are those same objects (``is``),
-so a round that carries its gains does only the data work, and a state
-whose gains are dropped (``gains = None``) or replaced rebuilds them. Over
-30 seeds of the benchmark workloads, 88 % of fixture4-mc's area-rounds and
-85 % of example13-cli's carry or share their WLS gains, and none of
-fixture4-soak's, where every round of a lossy hold run recomputes them: such
-a two-area round costs about 0.35 ms on a 2-vCPU x86 machine with OpenBLAS
-on one thread (the benchmark's ``step_ms.ddsie``).
+Each area walks its own path of ``estimator.Node``s (the estimator module
+docstring has the rule). An area node holds the WLS gains at the area's
+covariance and each neighbor's read-only block of the joint covariance,
+which the messages carry. The pattern of an area's step is the identity of
+each neighbor block it fused, with its accept mask, and whether the step
+was held; the memo entry keeps those blocks alive and holds the fusion
+gains and the Kalman gains of the fused covariance. The gate widths are
+recomputed every round. A round is clean when every area is on its plan,
+every message arrived, every coordinate was accepted and no area held, so
+the areas of a later run with the same models, P0 and settings walk the
+plan up to their first unclean round. In a lossy hold run nearly every
+area-round builds a new node: such a two-area round costs about 0.35 ms on
+a 2-vCPU x86 machine with OpenBLAS on one thread (the benchmark's
+``step_ms.ddsie`` on ``fixture4-soak``).
 """
 
 from __future__ import annotations
@@ -50,12 +41,11 @@ from .estimator import (
     FilterState,
     JointEstimate,
     KalmanGains,
+    Node,
     estimate_input,
     finish_cycle,
     initial_state,
     skips_update,
-    with_shared_gains,
-    with_wls_gains,
 )
 from .model import AreaModel
 
@@ -86,40 +76,26 @@ class CrossCheckReport:
 class AreaEstimator:
     """Single-owner estimator for one area.
 
-    ``fusion`` is the last round's (WLS gains, fusion inputs,
-    ``FusionGains`` or None, Kalman gains); see ``_fuse_reusing``.
-    ``clean`` says whether every round of the area's run so far was clean
-    (module docstring).
-
-    The other three fields carry what a round derives from covariances
-    alone, each with the objects it came from (module docstring):
-    ``outgoing`` is (local covariance, each neighbor's block of it) for the
-    messages of ``local_phase``; ``gates`` maps a neighbor to the
-    ``cross_check`` gate widths of its coordinates; ``fused`` is
-    (``fusion``, (block, accept mask) of each accepted message) for
-    ``_fuse_reusing``. None or empty makes the next round rebuild them.
+    ``node`` is the area's node (module docstring), at the covariance of
+    ``state``; by default the first node of the area's plan from it. A
+    replaced state needs a new estimator.
     """
 
     area: AreaModel
     state: FilterState
     kappa: float = 3.0
-    fusion: tuple | None = None
-    clean: bool = True
-    outgoing: tuple | None = None
-    gates: dict = field(default_factory=dict)
-    fused: tuple | None = None
+    node: Node | None = None
+
+    def __post_init__(self):
+        if self.node is None:
+            area, bdd = self.area, self.state.bdd
+            settings = ("area", bdd, tuple(sorted(area.shared_inputs.items())))
+            make = functools.partial(_area_gains, area, bdd)
+            self.node = estimator.plan(area.model, self.state.p_x, settings, make)
 
     @property
     def area_id(self) -> str:
         return self.area.area_id
-
-    @property
-    def shares(self) -> bool:
-        """Whether the area takes its gains from ``estimator.gains_table``:
-        under the alert-only policy, while its run's rounds are clean, its
-        covariance path depends on the models, P0 and the bad-data settings
-        only."""
-        return self.clean and self.state.bdd.policy == "alert-only"
 
 
 def make_area_estimator(area: AreaModel, x0, p0, bdd: BddConfig | None = None, kappa: float = 3.0):
@@ -131,31 +107,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
-    """Run the local joint estimation and build one message per neighbor.
+def _area_gains(area: AreaModel, bdd: BddConfig, p_x):
+    """An area node's gains at P_x: the WLS gains, and each neighbor's
+    read-only block of the joint covariance, in neighbor order."""
+    wls = estimator.joint_wls_gains(area.model, p_x, bdd)
+    return wls, tuple(_read_only(wls.cov[area.shared_index[nb].block]) for nb in area.neighbors)
 
-    The state takes its WLS gains here, once per round, and keeps them for
-    the rest of the round: from ``with_shared_gains`` while the area
-    shares, from ``with_wls_gains`` otherwise. Each message's covariance
-    block is the read-only one ``est.outgoing`` carries while the joint
-    covariance is the same object.
-    """
+
+def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
+    """Run the local joint estimation with the WLS gains of the area's node
+    and build one message per neighbor, with the node's block for it."""
     area = est.area
-    neighbors = area.neighbors
-    if est.shares:
-        est.state = with_shared_gains(est.state, fuses=bool(neighbors))
-    else:
-        est.state = with_wls_gains(est.state)
-    joint, report = estimate_input(est.state, z_u_prev, z_x_now)
-    if not neighbors:
-        return joint, report, {}
-    if est.outgoing is None or est.outgoing[0] is not joint.cov:
-        blocks = {nb: _read_only(joint.cov[area.shared_index[nb].block]) for nb in neighbors}
-        est.outgoing = (joint.cov, blocks)
-    blocks = est.outgoing[1]
+    wls, blocks = est.node.gains
+    joint, report = estimate_input(est.state, z_u_prev, z_x_now, wls)
     messages = {}
     flag = (bool(report.flagged),)
-    for neighbor in neighbors:
+    for neighbor, block in zip(area.neighbors, blocks):
         shared = area.shared_index[neighbor]
         messages[neighbor] = ShareMessage(
             sender=est.area_id,
@@ -163,23 +130,19 @@ def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
             step=est.state.step,
             coordinate_ids=area.shared_coordinates[neighbor],
             u_shared=joint.u_hat[shared.u],
-            p_shared=blocks[neighbor],
+            p_shared=block,
             flags=flag * shared.u.shape[0],
         )
     return joint, report, messages
 
 
 def cross_check(
-    local: JointEstimate, msg: ShareMessage, area: AreaModel, kappa: float = 3.0,
-    gates: dict | None = None,
+    local: JointEstimate, msg: ShareMessage, area: AreaModel, kappa: float = 3.0
 ) -> CrossCheckReport:
     """Gate each shared coordinate on |local - neighbor| vs. kappa sigma.
 
     The gate width is kappa * sqrt(local variance + neighbor variance) per
     coordinate; a coordinate the sender itself flagged is rejected outright.
-    ``gates``, when given, carries the widths from call to call: it maps
-    the sender to (local covariance, neighbor block, kappa, widths), reused
-    while both covariances are the same objects and kappa is equal.
     """
     pairs = area.shared_inputs.get(msg.sender)
     coords = area.shared_coordinates.get(msg.sender)
@@ -193,19 +156,8 @@ def cross_check(
         raise CoordinateMismatch("share message sizes inconsistent with coordinate list")
     shared = area.shared_index[msg.sender]
     difference = np.abs(local.u_hat[shared.u] - msg.u_shared)
-    carried = None if gates is None else gates.get(msg.sender)
-    if (
-        carried is not None
-        and carried[0] is local.cov
-        and carried[1] is msg.p_shared
-        and carried[2] == kappa
-    ):
-        threshold = carried[3]
-    else:
-        variance = local.cov[shared.stacked, shared.stacked] + msg.p_shared.diagonal()
-        threshold = _read_only(kappa * np.sqrt(np.maximum(variance, 0.0)))
-        if gates is not None:
-            gates[msg.sender] = (local.cov, msg.p_shared, kappa, threshold)
+    variance = local.cov[shared.stacked, shared.stacked] + msg.p_shared.diagonal()
+    threshold = kappa * np.sqrt(np.maximum(variance, 0.0))
     within = (difference <= threshold).tolist()
     if any(msg.flags):
         within = [ok and not flag for ok, flag in zip(within, msg.flags)]
@@ -317,75 +269,33 @@ def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
     return apply_fusion(fusion_gains(local.cov, idx, p_nb), local, _fusion_values(accepted))
 
 
-def _fusion_and_kalman(model, cov, idx, p_nb):
-    """The fusion gains at local covariance ``cov`` and the Kalman gains of
-    the fused covariance (the local one when nothing is fused)."""
-    gains = fusion_gains(cov, idx, p_nb) if idx.size else None
-    return gains, estimator.kalman_gains(model, cov if gains is None else gains.cov)
-
-
-def _fuses_as_carried(est: AreaEstimator, wls, accepted) -> bool:
-    """Whether ``est.fused`` says the round's fusion inputs are those of
-    ``est.fusion``: the same WLS gains and accept masks, and each accepted
-    message's covariance block the same object."""
-    fused = est.fused
-    if (
-        fused is None
-        or fused[0] is not est.fusion
-        or est.fusion[0] is not wls
-        or len(fused[1]) != len(accepted)
-    ):
-        return False
-    for (block, mask), (msg, accept) in zip(fused[1], accepted):
-        if block is not msg.p_shared or mask != accept:
-            return False
-    return True
-
-
-def _fuse_reusing(est: AreaEstimator, local: JointEstimate, accepted):
-    """``fuse`` for ``run_round``; returns (fused, the Kalman gains of its
-    covariance, or None when ``finish_cycle`` must compute them).
-
-    An area with no neighbors runs dsie's cycle: nothing is fused, and the
-    Kalman gains are those the state carries. Any other area reuses the
-    last round's gains while the fusion inputs repeat: the same local WLS
-    gains (the same object), the same accepted coordinates and the
-    neighbors' covariance blocks, compared as objects (``est.fused``) or
-    else bit for bit. Whether the step is held does not enter the gains.
-    Otherwise, while the area shares, it takes them from
-    ``estimator.gains_table`` keyed by the model, the local covariance,
-    ``idx`` and the neighbor blocks.
-    """
-    if not est.area.neighbors:
-        return local, est.state.gains.kalman
-    wls = est.state.gains.wls
-    if not _fuses_as_carried(est, wls, accepted):
+def _fuse_on_node(est: AreaEstimator, local: JointEstimate, accepted, held: bool, clean: bool):
+    """``fuse`` for ``run_round``, with the fusion and Kalman gains of the
+    memo entry of the area's step (module docstring), which a miss
+    computes; moves ``est.node`` on. Returns (fused, the Kalman gains of
+    its covariance)."""
+    node = est.node
+    pattern = (tuple((id(msg.p_shared), mask) for msg, mask in accepted), held)
+    entry = node.memo.get(pattern)
+    if entry is None:
         idx, p_nb = _fusion_design(accepted, est.area)
-        inputs = (idx.tobytes(), p_nb.tobytes())
-        if est.fusion is None or est.fusion[0] is not wls or est.fusion[1] != inputs:
-            model = est.area.model
-            compute = functools.partial(_fusion_and_kalman, model, local.cov, idx, p_nb)
-            if est.shares:
-                key = (model.content, local.cov.tobytes(), *inputs)
-                gains = estimator.gains_table.get(key, compute)
-            else:
-                gains = compute()
-            est.fusion = (wls, inputs, *gains)
-        blocks = tuple((msg.p_shared, mask) for msg, mask in accepted)
-        est.fused = (est.fusion, blocks)
-    _, _, gains, kalman = est.fusion
+        gains = fusion_gains(local.cov, idx, p_nb) if idx.size else None
+        kalman = estimator.kalman_gains(est.area.model, local.cov if gains is None else gains.cov)
+        p_next = kalman.p_pred if held else kalman.p_next
+        blocks = tuple(msg.p_shared for msg, _ in accepted)
+        entry = node.follow(pattern, clean, p_next, gains, kalman, blocks)
+    est.node, gains, kalman, _ = entry
     if gains is None:
         return local, kalman
     return apply_fusion(gains, local, _fusion_values(accepted)), kalman
 
 
 def finalize_phase(
-    est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool = False,
-    kalman: KalmanGains | None = None,
+    est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool, kalman: KalmanGains
 ) -> FilterState:
-    """Finish the area's cycle from the fused joint estimate (``finish_cycle``):
-    predict, update unless the step is held, and carry the gains on.
-    ``kalman`` are the Kalman gains of ``fused.cov``, or None to compute them."""
+    """Finish the area's cycle from the fused joint estimate with the Kalman
+    gains of its covariance (``finish_cycle``): predict, and update unless
+    the step is held."""
     return finish_cycle(est.state, fused, z_x_now, held, kalman)
 
 
@@ -438,10 +348,10 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
     """One synchronous round over all areas.
 
     ``measurements`` maps area id -> (z_u_prev, z_x_now). Returns a dict of
-    per-area RoundResult and mutates each estimator's state in place.
-    Every area cross-checks its messages before any area fuses, so whether
-    the round is clean (module docstring) is known when the areas take
-    their fusion gains.
+    per-area RoundResult and moves each estimator's state and node on in
+    place. Every area cross-checks its messages before any area fuses, so
+    whether the round is clean (module docstring) is known when the areas
+    take their steps.
     """
     transport = transport or Transport()
     step = estimators[0].state.step if estimators else 0
@@ -464,7 +374,7 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
 
     checked = []
     clean = True
-    for est, (joint, _) in zip(estimators, locals_):
+    for est, (joint, report) in zip(estimators, locals_):
         received = inbox[est.area_id]
         accepted = []
         checks: dict[str, CrossCheckReport] = {}
@@ -474,19 +384,18 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
             if msg is None or msg.step != step:
                 missing.append(neighbor)
                 continue
-            check = cross_check(joint, msg, est.area, est.kappa, est.gates)
+            check = cross_check(joint, msg, est.area, est.kappa)
             checks[neighbor] = check
             accepted.append((msg, check.accept))
             clean = clean and all(check.accept)
-        clean = clean and not missing
-        checked.append((accepted, checks, tuple(missing)))
+        held = skips_update(report, est.state.bdd)
+        clean = clean and not missing and not held and est.node.plan is not None
+        checked.append((accepted, checks, tuple(missing), held))
 
     results: dict[str, RoundResult] = {}
-    for est, (joint, report), (accepted, checks, missing) in zip(estimators, locals_, checked):
+    for est, (joint, report), (accepted, checks, missing, held) in zip(estimators, locals_, checked):
         aid = est.area_id
-        est.clean = est.clean and clean
-        held = skips_update(report, est.state.bdd)
-        fused, kalman = _fuse_reusing(est, joint, accepted)
+        fused, kalman = _fuse_on_node(est, joint, accepted, held, clean)
         est.state = finalize_phase(est, fused, measurements[aid][1], held, kalman)
         results[aid] = RoundResult(
             state=est.state,

@@ -7,47 +7,47 @@ residual, prediction through the discrete model, and a Kalman
 measurement update (``linalg.kalman_update``, the update the tracking
 baseline uses too). Every matrix of the cycle depends on the model, P_x
 and the bad-data settings only. The cycle is written once, as two halves
-that ``dsie_step`` and each area of ``distributed.run_round`` call: the
-state gets its WLS gains (``cycle_gains`` in ``dsie_step``, which takes
-both halves at once; ``with_wls_gains`` in an area), and ``finish_cycle``
-predicts, updates and carries the gains on while the cycle leaves P_x
-unchanged (``settled``), so a settled filter stops computing them. The
-rows of the joint design whose weight does not depend on P_x are
-whitened and QR-factored once per model, so a gains call factors only
-P_x and a small stack on top of them. The bad-data distance is the
+that ``dsie_step`` and each area of ``distributed.run_round`` call: WLS
+gains at P_x (``joint_wls_gains``), then ``finish_cycle``, which predicts
+and updates. The rows of the joint design whose weight does not depend on
+P_x are whitened and QR-factored once per model, so a gains call factors
+only P_x and a small stack on top of them. The bad-data distance is the
 weighted residual sum of squares r' W^{-1} r (the J(x) test with
 rows - unknowns degrees of freedom), taken from the same QR. The
-snapshot-WLS and tracking (random-walk) baselines live here as well:
-both read the model's stacked measurement map, and a tracking state
-carries its gains by the same rule.
+snapshot-WLS and tracking (random-walk) baselines live here as well: both
+read the model's stacked measurement map.
 
 A step's data work is written apart from its gains: ``apply_wls``,
-``apply_kalman`` and ``apply_tse``. ``dsie_step`` and ``tse_step`` call
-them with the gains their state carries, or with ``cycle_gains`` and
-``tse_gains_at`` when it carries none. ``pipeline.run_dsie`` and
-``pipeline.run_tse`` are one loop each over the same functions, carrying
-the gains by the same rule, so their outputs are bit-identical to one
-step per row; once the gains settle, a step is a fixed linear map of the
-data.
+``apply_kalman`` and ``apply_tse``. ``dsie_step`` and ``tse_step`` are the
+per-step references: they take their gains at the state's covariance.
 
-Gains that depend on no data are shared by every run in the process
-through ``gains_table``, a least-recently-used table whose entries' arrays
-hold at most ``_GAINS_BUDGET`` bytes, keyed by exact bytes: the model's
-``DiscreteModel.content`` and the covariance the gains are taken at. It
-holds the dsie cycle gains under the alert-only policy (keyed by P_x and
-the bad-data settings, ``cycle_gains``), the tracking gains (by P
-and Q), the snapshot gains (by the bad-data settings), a ddsie area's
-gains while every round of its run is clean (``distributed.run_round``),
-and the prepared models of ``pipeline.prepare`` (by the topology, the
-sampling time and the scenario inputs they are built from). The lazily
-built parts of an entry (a model's fixed rows, a prepared model's rank
-report and area models) are not counted in its bytes.
-A run that repeats a model, P0 and settings therefore computes nothing
-before its filters settle, or its first lost message or rejection. Under
-the hold policy dsie's covariance path depends on which steps were
-flagged, and after a ddsie run's first unclean round each area's path
-depends on the fusion, so those compute their gains as before and never
-touch the table.
+A filter's gains depend on the model, its P0 and settings, and each step's
+pattern, and on no measurement: for dsie the pattern is whether the step
+was held, for tse there is none, and for a ddsie area it is which neighbour
+blocks it fused with their accept masks, and whether it held. So
+``pipeline.run_dsie``, ``pipeline.run_tse`` and ``distributed.run_round``
+walk a ``Node`` per step: the gains taken at one covariance, and a memo of
+where each step from there led, keyed by the step's pattern. A step that
+leaves the covariance ``settled`` keeps the node's gains; any other step
+goes to a new node at the next covariance. Once the gains settle, a step is
+a fixed linear map of the data.
+
+Each filter's first node is stored in ``gains_table``, a least-recently-used
+table shared by every run in the process, under the exact bytes of the
+model (``DiscreteModel.content``), P0 and the settings (``plan``). A dsie or
+tse step is clean when its filter is on its plan and the step was not held;
+a ddsie round is clean when every area is on its plan, every message
+arrived, every coordinate was accepted and no area held. Nodes reached by
+clean steps stay on the plan, and later runs walk them. Every other node is
+private to its run and keeps only its last successor, and a settled unclean
+step from a plan node moves to a private copy with the same gains. So a run
+that repeats a model, P0 and settings computes nothing before its first
+held step, lost message or rejection. The table also holds the snapshot
+gains (by the bad-data settings) and the prepared models of
+``pipeline.prepare``. Its entries' arrays hold at most ``_GAINS_BUDGET``
+bytes: a plan is charged for every node that joins it and for what that
+node's memo entry keeps. The lazily built parts of an entry (a model's fixed
+rows, a prepared model's rank report and area models) are not counted.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class JointEstimate:
         return self.x_hat.shape[0]
 
     @property
-    def m(self):
-        return self.u_hat.shape[0]
-
-    @property
     def p_x(self):
         return self.cov[: self.n, : self.n]
 
@@ -147,20 +143,13 @@ class BddReport:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Single-owner filter recursion carrier; advanced by ``finish_cycle``.
-
-    ``gains`` are the gains of the last cycle, carried while that cycle
-    left P_x settled, so they are valid at ``p_x``; None makes the next
-    cycle compute them, or take them from ``gains_table`` (``cycle_gains``,
-    ``with_shared_gains``).
-    """
+    """Single-owner filter recursion carrier; advanced by ``finish_cycle``."""
 
     model: DiscreteModel
     x_hat: np.ndarray
     p_x: np.ndarray
     bdd: BddConfig = field(default_factory=BddConfig)
     step: int = 0
-    gains: CycleGains | None = None
 
 
 def initial_state(model: DiscreteModel, x0, p0, bdd: BddConfig | None = None) -> FilterState:
@@ -201,17 +190,10 @@ class KalmanGains:
 
 @dataclass(frozen=True)
 class CycleGains:
-    """Every matrix of one estimation cycle; a function of (model, P_x, bdd).
-
-    The Kalman half is None from ``with_wls_gains`` (and from
-    ``with_shared_gains`` for a cycle that fuses) until ``finish_cycle``
-    fills it in. In the per-area cycle it is taken from the fused
-    covariance, so it also depends on the fusion inputs (see
-    ``distributed.run_round``).
-    """
+    """Every matrix of one dsie cycle; a function of (model, P_x, bdd)."""
 
     wls: WlsGains
-    kalman: KalmanGains | None
+    kalman: KalmanGains
 
 
 def settled(p_next, p) -> bool:
@@ -219,31 +201,93 @@ def settled(p_next, p) -> bool:
     return p_next is p or float(np.abs(p_next - p).max()) <= 1e-14 * float(np.abs(p).max())
 
 
+class Node:
+    """One step's covariance-only work on a filter's path (module docstring).
+
+    ``gains`` are the gains taken at covariance ``p``, built by ``make(p)``;
+    ``memo`` maps the pattern of each step taken from here to a tuple of
+    the node it led to and what else that step's covariance work built.
+    ``plan`` is the ``gains_table`` key of the plan the node is on, or None
+    for a node private to one run.
+    """
+
+    __slots__ = ("p", "gains", "make", "plan", "memo")
+
+    def __init__(self, p, gains, make, plan=None):
+        self.p = p
+        self.gains = gains
+        self.make = make
+        self.plan = plan
+        self.memo = {}
+
+    def follow(self, pattern, clean: bool, p_next, *extras) -> tuple:
+        """The memo entry of a step with ``pattern`` that led from here to
+        covariance ``p_next`` and built ``extras``: (successor, *extras).
+
+        The successor is this node while the step leaves the covariance
+        ``settled``, a private copy of it when the step leaves a plan
+        unclean, and otherwise a new node at ``p_next``, on this node's
+        plan only if the step is ``clean``. A plan keeps its clean entries
+        and is charged for them; a private node keeps only its last entry.
+        """
+        on_plan = clean and self.plan is not None
+        if not settled(p_next, self.p):
+            successor = Node(p_next, self.make(p_next), self.make, self.plan if on_plan else None)
+        elif on_plan or self.plan is None:
+            successor = self
+        else:
+            successor = Node(self.p, self.gains, self.make)
+        entry = (successor, *extras)
+        if self.plan is None:
+            self.memo = {pattern: entry}
+        elif on_plan:
+            stored = self.memo.setdefault(pattern, entry)
+            if stored is not entry:  # a concurrent walker stored it first
+                return stored
+            grown = 0 if successor is self else _array_bytes(successor.gains)
+            gains_table.charge(self.plan, grown + _array_bytes(extras))
+        return entry
+
+
+def plan(model: DiscreteModel, p0, settings, make) -> Node:
+    """The first node of the filter that starts at covariance ``p0``, with
+    gains ``make(p0)``: stored in ``gains_table`` under the model's
+    content, the bytes of ``p0`` and ``settings``, the rest of what the
+    gains read."""
+    key = (model.content, p0.tobytes(), settings)
+    return gains_table.get(key, lambda: Node(p0, make(p0), make, key))
+
+
 def _array_bytes(value) -> int:
-    """Bytes of the arrays in ``value``: an array, or a tuple or dataclass of them."""
+    """Bytes of the arrays in ``value``: an array, or a tuple or dataclass
+    of them, or a node's gains."""
     if isinstance(value, np.ndarray):
         return value.nbytes
     if isinstance(value, tuple):
         return sum(_array_bytes(v) for v in value)
+    if isinstance(value, Node):
+        return _array_bytes(value.gains)
     if is_dataclass(value):
         return sum(_array_bytes(getattr(value, f.name)) for f in fields(value))
     return 0
 
 
 class _GainsTable:
-    """Gains and prepared models shared by every run in the process: a
-    least-recently-used map from exact keys to entries whose arrays hold at
-    most ``budget`` bytes together. ``nbytes`` counts the arrays of an
-    entry's fields, not the parts it builds lazily later.
+    """Plans, gains and prepared models shared by every run in the process:
+    a least-recently-used map from exact keys to entries whose arrays hold
+    at most ``budget`` bytes together. ``nbytes`` counts the arrays of an
+    entry's fields and what ``charge`` adds to it, not the parts an entry
+    builds lazily later.
 
-    Concurrent callers may compute the same gains twice, never see a
-    partial entry, and a computation that raises stores nothing.
+    Concurrent callers may compute the same entry twice, all get the one
+    stored first, never see a partial one, and a computation that raises
+    stores nothing.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._entries = OrderedDict()  # key -> (gains, their array bytes)
+        self._entries = OrderedDict()  # key -> (value, its array bytes)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -255,24 +299,36 @@ class _GainsTable:
             self.nbytes = 0
 
     def get(self, key, compute):
-        """The gains stored under ``key``, or ``compute()`` stored there."""
+        """The value stored under ``key``, or ``compute()`` stored there."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 return entry[0]
-        gains = compute()
-        size = _array_bytes(gains)
+        value = compute()
+        size = _array_bytes(value)
         with self._lock:
-            replaced = self._entries.pop(key, None)
-            if replaced is not None:
-                self.nbytes -= replaced[1]
-            self._entries[key] = (gains, size)
+            entry = self._entries.get(key)
+            if entry is not None:  # a concurrent caller stored it first
+                return entry[0]
+            self._entries[key] = (value, size)
             self.nbytes += size
-            while self.nbytes > self.budget:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self.nbytes -= evicted
-        return gains
+            self._evict()
+        return value
+
+    def charge(self, key, nbytes: int) -> None:
+        """Count ``nbytes`` more for the entry under ``key``, if it is still held."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries[key] = (entry[0], entry[1] + nbytes)
+                self.nbytes += nbytes
+                self._evict()
+
+    def _evict(self) -> None:
+        while self.nbytes > self.budget:
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.nbytes -= evicted
 
 
 gains_table = _GainsTable(_GAINS_BUDGET)
@@ -416,17 +472,20 @@ def _estimate(gains: WlsGains, observation, n: int, step: int = 0) -> tuple[Join
     return joint, _report(distance, gains.threshold, gains.dof)
 
 
-def estimate_input(state: FilterState, z_u_prev, z_x_now) -> tuple[JointEstimate, BddReport]:
+def estimate_input(
+    state: FilterState, z_u_prev, z_x_now, gains: WlsGains | None = None
+) -> tuple[JointEstimate, BddReport]:
     """Jointly re-estimate the previous state and input by WLS.
 
     Stacks the previous estimate, the previous input measurements and the
     current state measurements over the design [[I,0],[0,D],[C A_d, C B_d]]
-    with weight diag(P_x, R_u, C Q C' + R_x), using the WLS gains the
-    state carries, or ``with_wls_gains`` when it carries none.
+    with weight diag(P_x, R_u, C Q C' + R_x), using ``gains``, or the WLS
+    gains at the state's P_x when none are given.
     """
     observation = _observation(state, z_u_prev, z_x_now)
-    gains = state.gains or with_wls_gains(state).gains
-    return _estimate(gains.wls, observation, state.model.n, state.step)
+    if gains is None:
+        gains = joint_wls_gains(state.model, state.p_x, state.bdd)
+    return _estimate(gains, observation, state.model.n, state.step)
 
 
 def predict(joint: JointEstimate, model: DiscreteModel):
@@ -442,102 +501,43 @@ def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
     return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
 
 
-def _with_gains(state: FilterState, gains: CycleGains) -> FilterState:
-    """``state`` carrying ``gains``."""
-    return FilterState(state.model, state.x_hat, state.p_x, state.bdd, state.step, gains)
-
-
-def with_wls_gains(state: FilterState) -> FilterState:
-    """The first half of a cycle: ``state`` carrying WLS gains, its own or
-    ones computed at its P_x when it carries none."""
-    if state.gains is not None:
-        return state
-    return _with_gains(state, CycleGains(joint_wls_gains(state.model, state.p_x, state.bdd), None))
-
-
 def finish_cycle(
-    state: FilterState, joint: JointEstimate, z_x_now, held: bool, kalman: KalmanGains | None = None
+    state: FilterState, joint: JointEstimate, z_x_now, held: bool, kalman: KalmanGains
 ) -> FilterState:
-    """The second half of a cycle: predict from ``joint``, update with
-    ``z_x_now`` unless the step is held, and return the next state.
-
-    ``kalman`` are the Kalman gains of ``joint.cov``; they are computed here
-    when not given. The next state carries the state's WLS gains and these
-    Kalman gains on while the cycle left P_x settled; a cycle that reused
-    the state's Kalman gains carries the state's ``CycleGains`` itself.
-    """
-    model = state.model
-    if kalman is None:
-        kalman = kalman_gains(model, joint.cov)
-    x_hat, p_x = apply_kalman(kalman, model, joint.stacked, z_x_now, held)
-    gains = state.gains
-    if gains is None or not settled(p_x, state.p_x):
-        gains = None
-    elif kalman is not gains.kalman:
-        gains = CycleGains(gains.wls, kalman)
-    return FilterState(model, x_hat, p_x, state.bdd, state.step + 1, gains)
+    """The second half of a cycle: predict from ``joint`` with its Kalman
+    gains ``kalman``, update with ``z_x_now`` unless the step is held, and
+    return the next state."""
+    x_hat, p_x = apply_kalman(kalman, state.model, joint.stacked, z_x_now, held)
+    return FilterState(state.model, x_hat, p_x, state.bdd, state.step + 1)
 
 
-def _cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool = False) -> CycleGains:
+def dsie_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
+    """Both halves of a dsie cycle's gains at P_x."""
     wls = joint_wls_gains(model, p_x, bdd)
-    return CycleGains(wls, None if fuses else kalman_gains(model, wls.cov))
+    return CycleGains(wls, kalman_gains(model, wls.cov))
 
 
-def _shared_cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig, fuses: bool) -> CycleGains:
-    """The cycle gains stored in ``gains_table`` under (content, P_x bytes,
-    bdd), where a miss computes and stores them."""
-    key = (model.content, p_x.tobytes(), bdd)
-    return gains_table.get(key, functools.partial(_cycle_gains, model, p_x, bdd, fuses))
-
-
-def with_shared_gains(state: FilterState, fuses: bool = False) -> FilterState:
-    """``with_wls_gains`` for a state whose covariance path depends on the
-    model, P0 and the bad-data settings only: one that carries no gains
-    takes them from ``gains_table``.
-
-    The entry holds the cycle's Kalman half too, unless the cycle ``fuses``
-    neighbor estimates between its halves (a ``ddsie`` area with
-    neighbors), which makes that half depend on the fusion. A cycle that
-    finds no Kalman half computes it, and a fusing one ignores it, so an
-    entry serves either.
-    """
-    if state.gains is not None:
-        return state
-    return _with_gains(state, _shared_cycle_gains(state.model, state.p_x, state.bdd, fuses))
-
-
-def cycle_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
-    """Both halves of a dsie cycle's gains at P_x.
-
-    Under "alert-only" the covariance path depends on the model, P0 and the
-    bad-data settings only, so they come from ``gains_table``; under "hold"
-    it depends on which steps were flagged, and they are computed.
-    """
-    if bdd.policy != "alert-only":
-        return _cycle_gains(model, p_x, bdd)
-    gains = _shared_cycle_gains(model, p_x, bdd, fuses=False)
-    if gains.kalman is None:  # stored by a fusing ddsie area
-        gains = CycleGains(gains.wls, kalman_gains(model, gains.wls.cov))
-    return gains
+def dsie_plan(model: DiscreteModel, p0, bdd: BddConfig) -> Node:
+    """The first node of dsie from P0 (``plan``); its nodes hold ``dsie_gains``
+    and are reached by whether each step was held."""
+    return plan(model, p0, ("dsie", bdd), functools.partial(dsie_gains, model, bdd=bdd))
 
 
 def dsie_step(state: FilterState, z_u_prev, z_x_now):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
-    The cycle is the WLS estimate and screen with the gains the state
-    carries, or ``cycle_gains`` at its P_x when it carries none, then
-    ``finish_cycle``. With the "hold" policy a flagged step skips the
-    measurement update and carries the prediction forward; "alert-only"
-    (default) always updates.
+    The per-step reference of ``pipeline.run_dsie``: the WLS estimate and
+    screen with ``dsie_gains`` at the state's P_x, then ``finish_cycle``.
+    With the "hold" policy a flagged step skips the measurement update and
+    carries the prediction forward; "alert-only" (default) always updates.
     """
     model = state.model
     observation = _observation(state, z_u_prev, z_x_now)
-    if state.gains is None:
-        state = _with_gains(state, cycle_gains(model, state.p_x, state.bdd))
-    joint, report = _estimate(state.gains.wls, observation, model.n, state.step)
+    gains = dsie_gains(model, state.p_x, state.bdd)
+    joint, report = _estimate(gains.wls, observation, model.n, state.step)
     held = skips_update(report, state.bdd)
     z_x_now = observation[model.n + model.l :]
-    return finish_cycle(state, joint, z_x_now, held, state.gains.kalman), joint, report
+    return finish_cycle(state, joint, z_x_now, held, gains.kalman), joint, report
 
 
 @dataclass(frozen=True)
@@ -570,17 +570,11 @@ def wls_snapshot(z_x, z_u, model: DiscreteModel, bdd: BddConfig | None = None) -
 
 @dataclass(frozen=True)
 class TseState:
-    """Forecasting-aided tracking filter over the stacked (x, u) vector.
-
-    ``gains`` are the last step's gains, carried while that step left P
-    settled, so they are valid at ``p`` for the same Q; None makes the next
-    step take them from ``gains_table`` or compute them.
-    """
+    """Forecasting-aided tracking filter over the stacked (x, u) vector."""
 
     y_hat: np.ndarray
     p: np.ndarray
     step: int = 0
-    gains: TseGains | None = None
 
     def x_part(self, model):
         return self.y_hat[: model.n]
@@ -619,12 +613,14 @@ def tse_gains(h, r, p, q) -> TseGains:
     return TseGains(h=h, gain=gain, whiten=whiten, p_next=p_next)
 
 
-def tse_gains_at(model: DiscreteModel, p, q) -> TseGains:
-    """``tse_gains`` of the model's stacked measurement map at P and the
-    random-walk covariance Q, taken from ``gains_table``."""
-    return gains_table.get(
-        (model.content, p.tobytes(), q.shape, q.tobytes()),
-        lambda: tse_gains(*model.measurement_design, p, linalg.symmetrize_psd(q)),
+def tse_plan(model: DiscreteModel, p0, q) -> Node:
+    """The first node of the tracking filter from P0 with random-walk
+    covariance Q (``plan``); its nodes hold ``tse_gains`` of the model's
+    stacked measurement map, and every step has the same pattern."""
+    design = model.measurement_design
+    return plan(
+        model, p0, ("tse", q.shape, q.tobytes()),
+        lambda p: tse_gains(*design, p, linalg.symmetrize_psd(q)),
     )
 
 
@@ -640,17 +636,15 @@ def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddCon
     """Random-walk tracking update over (x, u); returns (state, report).
 
     ``q_tse`` is the per-step random-walk process covariance (scalar,
-    diagonal vector, or full matrix over the stacked vector). The step uses
-    the gains the state carries, or ``tse_gains_at`` at ``state.p`` when it
-    carries none; the next state carries them on while P is settled.
+    diagonal vector, or full matrix over the stacked vector). The per-step
+    reference of ``pipeline.run_tse``: the step takes ``tse_gains`` at
+    ``state.p``.
     """
     bdd = bdd or BddConfig()
-    gains = state.gains
-    if gains is None:
-        gains = tse_gains_at(model, state.p, linalg.as_covariance(q_tse, model.n + model.m))
+    q = linalg.symmetrize_psd(linalg.as_covariance(q_tse, model.n + model.m))
+    gains = tse_gains(*model.measurement_design, state.p, q)
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
     y_hat, squared = apply_tse(gains, state.y_hat, z)
     dof = gains.h.shape[0]
     report = _report(np.sqrt(squared), bdd.threshold(dof), dof)
-    carried = gains if settled(gains.p_next, state.p) else None
-    return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1, gains=carried), report
+    return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1), report

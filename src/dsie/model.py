@@ -263,10 +263,6 @@ class DiscreteModel:
         return self.d.shape[0]
 
     @property
-    def state_index(self):
-        return _pairs(self.state_ids)
-
-    @property
     def input_index(self):
         return _pairs(self.input_ids)
 

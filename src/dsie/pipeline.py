@@ -28,13 +28,12 @@ from .estimator import (
     apply_kalman,
     apply_tse,
     apply_wls,
-    cycle_gains,
+    dsie_plan,
     dsie_step,  # noqa: F401  unused; the tracer test asserts pipeline.dsie_step is estimator.dsie_step
     initial_state,
     initial_tse_state,
-    settled,
     snapshot_gains,
-    tse_gains_at,
+    tse_plan,
 )
 from .metrics import false_alarm_rate, mean_mse, mse_per_variable
 from .model import (
@@ -230,12 +229,11 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
     """Centralized cycle over the run, one loop over the rows.
 
     Row ``k - 1`` of the rows is (z_u[k-1], z_x[k]), validated once, up
-    front. Each step uses the gains it carries, or takes
-    ``estimator.cycle_gains`` at the current P_x when it carries none;
-    applies them with ``apply_wls`` and ``apply_kalman``, skipping the
-    update of a step held under "hold"; and keeps them while the step
-    leaves P_x ``settled``. The outputs are those of one ``dsie_step`` per
-    row, bit for bit.
+    front. Each step applies the gains of its node (``estimator.dsie_plan``)
+    with ``apply_wls`` and ``apply_kalman``, skipping the update of a step
+    held under "hold", and goes on to the node its pattern, whether it was
+    held, leads to. The outputs are those of one ``dsie_step`` per row
+    whose settled steps keep their P_x, bit for bit.
     """
     steps = z_x.shape[0] - 1
     rows = linalg.as_matrix(np.hstack([z_u[:steps], z_x[1:]]), "measurements")
@@ -243,20 +241,17 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
     hold = state.bdd.policy == "hold"
     run = _empty_run("dsie", steps, model.n, model.m)
     run.x_est[0] = x0_est
-    x, p = state.x_hat, state.p_x
-    gains = None
+    x = state.x_hat
+    node = dsie_plan(model, state.p_x, state.bdd)
     for k, row in enumerate(rows, 1):
-        if gains is None:
-            gains = cycle_gains(model, p, state.bdd)
-        estimate, distance = apply_wls(gains.wls, np.concatenate([x, row]))
-        run.mahalanobis[k], run.thresholds[k] = distance, gains.wls.threshold
+        wls, kalman = node.gains.wls, node.gains.kalman
+        estimate, distance = apply_wls(wls, np.concatenate([x, row]))
+        run.mahalanobis[k], run.thresholds[k] = distance, wls.threshold
         run.u_est[k - 1] = estimate[model.n :]
-        held = hold and distance >= gains.wls.threshold
-        x, p_next = apply_kalman(gains.kalman, model, estimate, row[model.l :], held)
+        held = hold and distance >= wls.threshold
+        x, p_next = apply_kalman(kalman, model, estimate, row[model.l :], held)
         run.x_est[k] = x
-        if not settled(p_next, p):
-            gains = None
-        p = p_next
+        node = (node.memo.get(held) or node.follow(held, not held, p_next))[0]
     run.flags[1:] = run.mahalanobis[1:] >= run.thresholds[1:]
     run.u_est[steps] = run.u_est[steps - 1] if steps else 0.0
     return run
@@ -280,12 +275,11 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     """Tracking filter over the run, one loop over the rows.
 
     Row ``k - 1`` of the rows is (z_x[k], z_u[k]), validated once, up
-    front. Each step uses the gains it carries, or takes
-    ``estimator.tse_gains_at`` at the current P when it carries none;
-    applies them with ``apply_tse``; and keeps them while the step leaves P
-    ``settled``. The distances' square roots, thresholds and flags are
-    taken at once after the loop. The outputs are those of one ``tse_step``
-    per row, bit for bit.
+    front. Each step applies the gains of its node (``estimator.tse_plan``)
+    with ``apply_tse`` and goes on to the node's one successor. The
+    distances' square roots, thresholds and flags are taken at once after
+    the loop. The outputs are those of one ``tse_step`` per row whose
+    settled steps keep their P, bit for bit.
     """
     steps = z_x.shape[0] - 1
     rows = linalg.as_matrix(np.hstack([z_x[1:], z_u[1 : steps + 1]]), "measurements")
@@ -295,19 +289,14 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     run = _empty_run("tse", steps, model.n, model.m)
     run.x_est[0] = x0_est
     run.u_est[0] = u0_est
-    y, p = state.y_hat, state.p
+    y = state.y_hat
     estimates = np.empty((steps, y.shape[0]))
     squared = run.mahalanobis[1:]
-    gains = None
+    node = tse_plan(model, state.p, q_tse)
     for k, z in enumerate(rows):
-        if gains is None:
-            gains = tse_gains_at(model, p, q_tse)
-        y, squared[k] = apply_tse(gains, y, z)
+        y, squared[k] = apply_tse(node.gains, y, z)
         estimates[k] = y
-        p_next = gains.p_next
-        if not settled(p_next, p):
-            gains = None
-        p = p_next
+        node = (node.memo.get(None) or node.follow(None, True, node.gains.p_next))[0]
     run.x_est[1:] = estimates[:, : model.n]
     run.u_est[1:] = estimates[:, model.n :]
     np.sqrt(squared, out=squared)
@@ -416,10 +405,6 @@ def _state_labels(ids):
     for sid in ids:
         out.extend([f"{sid}:d", f"{sid}:q"])
     return out
-
-
-def scenario_hash(scenario: Scenario, network_doc=None) -> str:
-    return _hash_doc(dataclasses.asdict(scenario), network_doc)
 
 
 def _hash_doc(scenario_doc: dict, network_doc) -> str:

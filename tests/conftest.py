@@ -75,3 +75,36 @@ def assert_series_close(actual, expected, rel=1e-12):
     """Agreement to ``rel`` of the series' largest magnitude."""
     expected = np.asarray(expected)
     assert np.max(np.abs(np.asarray(actual) - expected)) <= rel * np.max(np.abs(expected))
+
+
+def plan_walk(table):
+    """(nodes, entries) of the plans in ``table``: every node reachable from
+    a plan's first node through the memos, and every memo entry of those
+    nodes as (node, pattern, entry)."""
+    from dsie.estimator import Node
+
+    todo = [value for value, _ in table._entries.values() if isinstance(value, Node)]
+    nodes, entries = {}, []
+    while todo:
+        node = todo.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        for pattern, entry in node.memo.items():
+            entries.append((node, pattern, entry))
+            todo.append(entry[0])
+    return list(nodes.values()), entries
+
+
+def plan_bytes(table):
+    """Bytes of the arrays of every plan node's gains and of what each memo
+    entry keeps besides the node it leads to."""
+    from dsie.estimator import _array_bytes
+
+    nodes, entries = plan_walk(table)
+    return sum(_array_bytes(n.gains) for n in nodes) + sum(_array_bytes(e[1:]) for _, _, e in entries)
+
+
+def on_settled_node(node):
+    """Whether ``node`` was reached by a settled step: a step from it led to itself."""
+    return any(entry[0] is node for entry in node.memo.values())

@@ -21,7 +21,7 @@ from dsie.distributed import (
     run_round,
 )
 from dsie.errors import CoordinateMismatch, NotPositiveDefinite
-from dsie.estimator import JointEstimate, dsie_step, estimate_input, initial_state
+from dsie.estimator import JointEstimate, Node, dsie_step, estimate_input, initial_state, settled
 from dsie.model import build_continuous, build_discrete, check_joint_rank, partition
 from dsie.network import AreaSpec, load_network
 from dsie.sim import (
@@ -34,7 +34,13 @@ from dsie.sim import (
     steady_state,
 )
 
-from conftest import assert_series_close, bundled_network_path, bundled_scenario_path, random_spd
+from conftest import (
+    assert_series_close,
+    bundled_network_path,
+    bundled_scenario_path,
+    on_settled_node,
+    random_spd,
+)
 
 T_S = 0.001
 
@@ -494,11 +500,14 @@ class TestFinalizePhase:
             ref_state = initial_state(central, np.zeros(central.n), 1.0)
             for z_u, z_x in measurements:
                 results = run_round([est], {"all": (z_u, z_x)})
-                ref_state, ref_joint, _ = dsie_step(ref_state, z_u, z_x)
-                np.testing.assert_array_equal(results["all"].state.x_hat, ref_state.x_hat)
-                np.testing.assert_array_equal(results["all"].state.p_x, ref_state.p_x)
+                next_state, ref_joint, _ = dsie_step(ref_state, z_u, z_x)
+                np.testing.assert_array_equal(results["all"].state.x_hat, next_state.x_hat)
+                np.testing.assert_array_equal(results["all"].state.p_x, next_state.p_x)
                 np.testing.assert_array_equal(results["all"].joint_fused.u_hat, ref_joint.u_hat)
-            assert est.state.gains is not None  # the area settled and carries its gains
+                if settled(next_state.p_x, ref_state.p_x):  # the node rule keeps the covariance
+                    next_state = dataclasses.replace(next_state, p_x=ref_state.p_x)
+                ref_state = next_state
+            assert on_settled_node(est.node)  # the area settled and keeps its node's gains
 
 
 def ddsie_inputs(name, **changes):
@@ -517,11 +526,12 @@ def ddsie_inputs(name, **changes):
 
 
 def clear_gains(estimators):
-    """Make the next round compute every gain afresh, sharing none."""
+    """Make the next round compute every gain afresh at each state's P_x,
+    sharing none: each area takes a new private node there."""
     estimator.gains_table.clear()
     for est in estimators:
-        est.state = dataclasses.replace(est.state, gains=None)
-        est.fusion = None
+        make = est.node.make
+        est.node = Node(est.state.p_x, make(est.state.p_x), make)
 
 
 class TestRoundGainsReuse:
@@ -609,8 +619,9 @@ class TestRoundGainsReuse:
 
         for k in range(1, 60):
             run_round(ests, meas(k))
-        assert all(e.state.gains is not None for e in ests)  # every area reuses its gains
-        ests[0].state = dataclasses.replace(ests[0].state, p_x=4.0 * ests[0].state.p_x, gains=None)
+        assert all(on_settled_node(e.node) for e in ests)  # every area reuses its gains
+        replaced = dataclasses.replace(ests[0].state, p_x=4.0 * ests[0].state.p_x)
+        ests[0] = AreaEstimator(ests[0].area, replaced, ests[0].kappa)
         before = [e.state for e in ests]
         run_round(ests, meas(60))
         reused = ests[0].state
@@ -634,7 +645,7 @@ class TestRoundGainsReuse:
                 for area, local, _, _ in streams.values()
             ]
             results = run_round(ests, meas)
-            assert all(e.clean for e in ests)
+            assert all(e.node.plan is not None for e in ests)  # the round was clean
             return results
 
         estimator.gains_table.clear()
@@ -669,17 +680,16 @@ LOSSY_HOLD = {"drop_rate": 0.2, "delay_rate": 0.1, "bdd_policy": "hold"}
 
 def forget_round_carry(estimators):
     """Make the next round rebuild what an area derives from covariances
-    alone (message blocks, gate widths, fusion inputs by identity), keeping
-    the gains."""
+    alone at its node's covariance (WLS gains, message blocks, fusion and
+    Kalman gains): each area takes a new private node there."""
     for est in estimators:
-        est.outgoing = None
-        est.gates = {}
-        est.fused = None
+        node = est.node
+        est.node = Node(node.p, node.make(node.p), node.make)
 
 
 class TestRoundCarry:
-    """What an area carries from round to round besides its gains equals
-    what every round would rebuild, bit for bit."""
+    """What an area keeps on its node from round to round equals what every
+    round would rebuild, bit for bit."""
 
     @pytest.mark.parametrize("changes", [{}, LOSSY_HOLD], ids=["alert-only", "lossy-hold"])
     @pytest.mark.parametrize(
@@ -690,9 +700,9 @@ class TestRoundCarry:
         kept = []
 
         def tracked(estimators, measurements, transport=None):
-            before = [e.outgoing for e in estimators]
+            before = [e.node.gains[1] for e in estimators]
             results = run_round(estimators, measurements, transport)
-            kept.append(sum(b is not None and b is e.outgoing for b, e in zip(before, estimators)))
+            kept.append(sum(b is e.node.gains[1] for b, e in zip(before, estimators)))
             return results
 
         monkeypatch.setattr(pipeline, "run_round", tracked)
@@ -754,7 +764,7 @@ class TestRoundCarry:
         carried = []
 
         def tracked(estimators, measurements, transport=None):
-            carried.append(all(e.state.gains is not None for e in estimators))
+            carried.append(all(on_settled_node(e.node) for e in estimators))
             return run_round(estimators, measurements, transport)
 
         monkeypatch.setattr(pipeline, "run_round", tracked)

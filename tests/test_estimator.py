@@ -1,7 +1,9 @@
 """Estimator cycle tests: joint WLS, bad-data gate, predict/update, baselines."""
 
 import dataclasses
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from conftest import (
     bundled_network_path,
     bundled_scenario_path,
     make_cap_bus_topology,
+    plan_bytes,
+    plan_walk,
     random_spd,
 )
 
@@ -724,9 +728,7 @@ class TestGainsReuse:
         state = initial_state(model, x0, p0, bdd)
         x, u, distance, flags = [x0], [], [0.0], [False]
         for k in range(1, z_x.shape[0]):
-            state = dataclasses.replace(state, gains=None)  # the per-step cycle
-            estimator.gains_table.clear()
-            state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
+            state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])  # gains at each P_x
             x.append(state.x_hat)
             u.append(joint.u_hat)
             distance.append(report.distance)
@@ -788,9 +790,7 @@ class TestGainsReuse:
         bdd = BddConfig(alpha=scenario.bdd_alpha, zeta=scenario.bdd_zeta)
         x, u, distance, flags = [x0], [u0], [0.0], [False]
         for k in range(1, z_x.shape[0]):
-            state = dataclasses.replace(state, gains=None)  # the per-step update
-            estimator.gains_table.clear()
-            state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
+            state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)  # gains at each P
             x.append(state.x_part(model))
             u.append(state.u_part(model))
             distance.append(report.distance)
@@ -835,27 +835,22 @@ def run_method(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
 
 
 def step_loop(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
-    """The run as one ``dsie_step``/``tse_step`` per step, gains carried:
-    its series, and the step after which the state first carries settled
-    gains (None if it never does)."""
+    """The run as one ``dsie_step``/``tse_step`` per step, each taking its
+    gains at the state's covariance, where a step that leaves that
+    covariance ``settled`` keeps it (the node rule): its series, the number
+    of steps that moved to a new covariance, and the first step that left
+    it settled (None if none does)."""
     bdd = pipeline._bdd(scenario)
     if method == "dsie":
-        state = initial_state(model, x0, p0, bdd)
-
-        def settled(s):  # both halves carried, P_x their updated covariance
-            return s.gains is not None and s.gains.kalman is not None and s.p_x is s.gains.kalman.p_next
-
+        state, cov = initial_state(model, x0, p0, bdd), "p_x"
     else:
-        state = initial_tse_state(model, x0, u0, np.diag(scenario.p0_scale * nominal**2))
+        state, cov = initial_tse_state(model, x0, u0, np.diag(scenario.p0_scale * nominal**2)), "p"
         q_tse = np.diag((scenario.tse_q_fraction * nominal) ** 2)
-
-        def settled(s):
-            return s.gains is not None
-
     x, distance, thresholds, flags = [x0], [0.0], [np.inf], [False]  # row 0: never flagged
     u = [] if method == "dsie" else [u0]
-    first_settled = None
+    moves, first_settled = 0, None
     for k in range(1, z_x.shape[0]):
+        p = getattr(state, cov)
         if method == "dsie":
             state, joint, report = dsie_step(state, z_u[k - 1], z_x[k])
             x.append(state.x_hat)
@@ -867,18 +862,22 @@ def step_loop(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
         distance.append(report.distance)
         thresholds.append(report.threshold)
         flags.append(report.flagged)
-        if first_settled is None and settled(state):
-            first_settled = k
+        if estimator.settled(getattr(state, cov), p):
+            state = dataclasses.replace(state, **{cov: p})
+            first_settled = first_settled or k
+        else:
+            moves += 1
     if method == "dsie":
         u.append(u[-1])
     series = {"x_est": x, "u_est": u, "mahalanobis": distance}
-    return {**series, "thresholds": thresholds, "flags": flags}, first_settled
+    return {**series, "thresholds": thresholds, "flags": flags}, moves, first_settled
 
 
 class TestSettledLoop:
-    """run_dsie and run_tse carry their gains in one loop over the rows: the
-    outputs are those of one full step per row, bit for bit, and the gains
-    are computed exactly where the steps compute them."""
+    """run_dsie and run_tse walk their nodes in one loop over the rows: the
+    outputs are those of one full step per row whose settled steps keep
+    their covariance, bit for bit, and the gains are computed once for the
+    first covariance and once for each step that moves to a new one."""
 
     @pytest.mark.parametrize("changes", POLICIES, ids=["alert-only", "hold", "hold-zeta5"])
     @pytest.mark.parametrize("name", SCENARIOS)
@@ -888,8 +887,7 @@ class TestSettledLoop:
         estimator.gains_table.clear()
         cold = run_method(method, *inputs)
         warm = run_method(method, *inputs)
-        estimator.gains_table.clear()
-        expected, _ = step_loop(method, *inputs)
+        expected, _, _ = step_loop(method, *inputs)
         for run in (cold, warm):
             for key, values in expected.items():
                 np.testing.assert_array_equal(getattr(run, key), np.asarray(values), err_msg=key)
@@ -902,20 +900,18 @@ class TestSettledLoop:
         ids=["dsie-alert-only", "dsie-hold", "dsie-hold-zeta5", "tse"],
     )
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_gains_are_computed_as_often_as_in_the_step_loop(self, monkeypatch, method, name, changes):
+    def test_gains_are_computed_once_per_covariance_of_the_step_loop(self, monkeypatch, method, name, changes):
         inputs = run_inputs(name, **changes)
+        _, moves, first_settled = step_loop(method, *inputs)
         counts = count_gains(monkeypatch)
         estimator.gains_table.clear()
-        _, first_settled = step_loop(method, *inputs)
-        in_steps = counts[method]
-        estimator.gains_table.clear()
         run = run_method(method, *inputs)
-        in_run = counts[method] - in_steps
-        assert in_run == in_steps
+        in_run = counts[method]
+        assert in_run == 1 + moves
         if changes:  # a held step un-settles P_x, so the gains are computed again after it
-            assert in_steps > (first_settled or 0) and run.flags.any()
+            assert in_run > (first_settled or 0) and run.flags.any()
         else:  # computed until the gains settle, early in a long run
-            assert 0 < in_steps == first_settled < 50 and inputs[2].shape[0] - 1 >= 300
+            assert 0 < in_run == first_settled < 50 and inputs[2].shape[0] - 1 >= 300
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("stream", [2, 3])  # z_x, z_u
@@ -995,6 +991,29 @@ def nudged(model, name):
     return dataclasses.replace(model, **{name: a})
 
 
+class TestNodeRule:
+    """``Node.follow``: where a step leads, by whether it left the covariance
+    settled and was clean, and what the memos and the plan keep."""
+
+    def test_successors_memos_and_charges(self, monkeypatch):
+        table = estimator._GainsTable(estimator._GAINS_BUDGET)
+        monkeypatch.setattr(estimator, "gains_table", table)
+        root = estimator.plan(small_model(), np.eye(2), "rule", lambda p: (p.copy(),))
+        moved = 2.0 * np.eye(2)
+        entry = root.follow("clean, settled", True, np.eye(2), np.ones(3))
+        assert entry[0] is root and root.memo["clean, settled"] is entry
+        copy = root.follow("unclean, settled", False, np.eye(2))[0]
+        assert copy is not root and copy.plan is None and copy.gains is root.gains
+        joined = root.follow("clean, moved", True, moved)[0]
+        assert joined.plan == root.plan and root.memo["clean, moved"][0] is joined
+        np.testing.assert_array_equal(joined.gains[0], moved)
+        private = root.follow("unclean, moved", False, moved)[0]
+        assert private.plan is None and set(root.memo) == {"clean, settled", "clean, moved"}
+        assert private.follow("settled", True, moved)[0] is private
+        last = private.follow("moved", True, 3.0 * moved)[0]
+        assert last.plan is None and list(private.memo) == ["moved"]  # only its last entry
+        assert table.nbytes == plan_bytes(table) == 2 * 32 + 24
+
 class TestSharedGains:
     """``estimator.gains_table`` shares the data-independent gains between
     runs of an equal model, and between nothing else."""
@@ -1037,42 +1056,42 @@ class TestSharedGains:
         estimator.gains_table.clear()
         assert_same_series(shared, method_series(*inputs))
 
-    def test_hold_leaves_the_table_untouched_and_matches_the_step_loop(self, monkeypatch):
+    def test_no_held_step_leads_onto_a_plan_and_the_run_matches_the_step_loop(self, monkeypatch):
         scenario, model, z_x, z_u, x0, p0 = scenario_streams(
             "fixture4_attack", bdd_policy="hold", bdd_zeta=5.0
         )
-        # Any lookup in an empty table misses and stores what it computes.
         table = estimator._GainsTable(estimator._GAINS_BUDGET)
         monkeypatch.setattr(estimator, "gains_table", table)
         run = pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)
         state = initial_state(model, x0, p0, pipeline._bdd(scenario))
         x = [x0]
         for k in range(1, z_x.shape[0]):
-            state, _, _ = dsie_step(dataclasses.replace(state, gains=None), z_u[k - 1], z_x[k])
+            state, _, _ = dsie_step(state, z_u[k - 1], z_x[k])
             x.append(state.x_hat)
-        assert len(table) == 0
+        nodes, entries = plan_walk(table)
+        assert nodes and all(node.plan is not None for node in nodes)
+        assert not any(held for _, held, _ in entries)  # a dsie step's pattern is whether it held
         assert 0 < run.flags.sum() < len(x) - 1
         assert_series_close(run.x_est, x)
 
-    def test_an_entry_stored_without_its_kalman_half_serves_dsie_both_halves(self):
-        model, _, _, _, x0, p0, _, _ = method_inputs()
-        estimator.gains_table.clear()
-        state = initial_state(model, x0, p0, BddConfig())
-        stored = estimator.with_shared_gains(state, fuses=True).gains
-        gains = estimator.cycle_gains(model, state.p_x, state.bdd)
-        assert stored.kalman is None and gains.wls is stored.wls
-        expected = estimator.kalman_gains(model, stored.wls.cov)
-        for f in ("ab", "p_pred", "gain", "p_next"):
-            np.testing.assert_array_equal(getattr(gains.kalman, f), getattr(expected, f))
-
     def test_the_table_holds_at_most_its_budget(self, monkeypatch):
-        small = estimator._GainsTable(64 * 1024)
-        monkeypatch.setattr(estimator, "gains_table", small)
         inputs = method_inputs()
+        full = estimator._GainsTable(estimator._GAINS_BUDGET)
+        monkeypatch.setattr(estimator, "gains_table", full)
         cold = method_series(*inputs)
-        assert 0 < small.nbytes <= small.budget
-        assert_same_series(method_series(*inputs), cold)
-        assert 0 < small.nbytes <= small.budget
+        assert plan_bytes(full) <= full.nbytes
+        small = estimator._GainsTable(64 * 1024)
+        assert full.nbytes > small.budget  # so the small table evicts plans
+        monkeypatch.setattr(estimator, "gains_table", small)
+        model, scenario, z_x, z_u, x0, p0, u0, nominal = inputs
+        for _ in range(2):
+            runs = [pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)]
+            assert small.nbytes <= small.budget
+            runs.append(pipeline.run_wls(model, z_x, z_u, scenario))
+            assert 0 < small.nbytes <= small.budget  # the snapshot gains fit
+            runs.append(pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal))
+            assert plan_bytes(small) <= small.nbytes <= small.budget
+            assert_same_series(series_of(runs), cold)
 
     def test_the_table_evicts_the_least_recently_used_by_bytes_and_stores_no_failure(self):
         table = estimator._GainsTable(32)
@@ -1092,15 +1111,21 @@ class TestSharedGains:
             table.get("e", fails)
         assert len(table) == 0 and table.get("e", lambda: np.full(1, 5.0))[0] == 5
 
-    def test_entries_are_sized_by_their_arrays(self):
+    def test_entries_are_sized_by_their_arrays(self, monkeypatch):
         model = method_inputs()[0]
-        gains = estimator._cycle_gains(model, np.eye(model.n), BddConfig(), fuses=False)
+        gains = estimator.dsie_gains(model, np.eye(model.n), BddConfig())
         wls, kalman = gains.wls, gains.kalman
         expected = sum(a.nbytes for a in (wls.wls, wls.cov, wls.whiten))
         expected += sum(a.nbytes for a in (kalman.ab, kalman.p_pred, kalman.gain, kalman.p_next))
         table = estimator._GainsTable(10 * expected)
         table.get("k", lambda: gains)
         assert table.nbytes == expected
+        monkeypatch.setattr(estimator, "gains_table", table)
+        estimator.plan(model, np.eye(model.n), "settings", lambda p: gains)  # a plan's first node
+        assert table.nbytes == 2 * expected
+        table.charge("k", 8)
+        table.charge("gone", 8)  # no entry: counts nothing
+        assert table.nbytes == 2 * expected + 8
 
     def test_concurrent_callers_never_raise(self):
         table = estimator._GainsTable(3 * 8)
@@ -1140,18 +1165,29 @@ def ddsie_series(topology, scenario):
     return series
 
 
-def track_ddsie_rounds(monkeypatch):
+def track_ddsie_rounds(monkeypatch, computes=("joint_wls_gains", "kalman_gains")):
     """Make each of ``pipeline.run_ddsie``'s rounds append to the returned
-    lists: its areas, whether the run's rounds were all clean after it, and
-    the table's size after it."""
-    log = {"areas": [], "clean": [], "sizes": []}
+    lists: whether the round was clean, so that every area is on its plan
+    after it; how many of ``computes`` were called since the round before;
+    and how many nodes the table's plans held after it."""
+    log = {"clean": [], "computed": [], "plan_nodes": []}
+    calls = [0]
+    for compute_name in computes:
+        compute = getattr(estimator, compute_name)
+
+        def counted(*args, _compute=compute):
+            calls[0] += 1
+            return _compute(*args)
+
+        monkeypatch.setattr(estimator, compute_name, counted)
     run_round = pipeline.run_round
 
     def tracked(estimators, measurements, transport=None):
         results = run_round(estimators, measurements, transport)
-        log["areas"].append(estimators)
-        log["clean"].append(all(e.clean for e in estimators))
-        log["sizes"].append(len(estimator.gains_table))
+        log["clean"].append(all(e.node.plan is not None for e in estimators))
+        log["computed"].append(calls[0])
+        calls[0] = 0
+        log["plan_nodes"].append(len(plan_walk(estimator.gains_table)[0]))
         return results
 
     monkeypatch.setattr(pipeline, "run_round", tracked)
@@ -1159,8 +1195,8 @@ def track_ddsie_rounds(monkeypatch):
 
 
 class TestSharedDdsieGains:
-    """ddsie areas share their gains through ``estimator.gains_table`` while
-    every round of their run is clean, under the alert-only policy only."""
+    """ddsie areas walk their plans, shared by every run of their models, P0
+    and settings, while every round of their run is clean."""
 
     @pytest.mark.parametrize(
         "name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
@@ -1172,45 +1208,48 @@ class TestSharedDdsieGains:
         estimator.gains_table.clear()
         pipeline.run_scenario(topology, dataclasses.replace(scenario, seed=1))
         rounds = track_ddsie_rounds(monkeypatch)
-        computed = {True: 0, False: 0}  # by whether the run's rounds were clean so far
-        for compute_name in ("joint_wls_gains", "kalman_gains"):
-            compute = getattr(estimator, compute_name)
 
-            def counted(*args, _compute=compute):
-                areas = rounds["areas"]
-                computed[not areas or all(e.clean for e in areas[-1])] += 1
-                return _compute(*args)
+        def in_clean_rounds():
+            return sum(c for c, clean in zip(rounds["computed"], rounds["clean"]) if clean)
 
-            monkeypatch.setattr(estimator, compute_name, counted)
         seed2 = dataclasses.replace(scenario, seed=2)
         warm = ddsie_series(topology, seed2)
-        assert computed[True] == 0
+        assert in_clean_rounds() == 0 and any(rounds["clean"])
         estimator.gains_table.clear()
-        rounds["areas"].clear()
+        for log in rounds.values():
+            log.clear()
         cold = ddsie_series(topology, seed2)
-        assert computed[True] > 0
+        assert in_clean_rounds() > 0
         assert_same_series(warm, cold)
 
-    def test_a_run_adds_no_entries_after_its_first_unclean_round(self, monkeypatch):
+    def test_no_node_joins_a_plan_after_the_first_unclean_round(self, monkeypatch):
         topology, scenario = ddsie_scenario("example13_load_change", seed=3)
         estimator.gains_table.clear()
         rounds = track_ddsie_rounds(monkeypatch)
         pipeline.run_scenario(topology, scenario)
-        clean, sizes = rounds["clean"], rounds["sizes"]
+        clean, sizes = rounds["clean"], rounds["plan_nodes"]
         first = clean.index(False)
         assert 0 < first < len(clean) - 1 and sizes[first - 1] > 0
-        assert set(sizes[first:]) == {sizes[first]}
+        assert not any(clean[first:])
+        assert set(sizes[first - 1 :]) == {sizes[first - 1]}
 
-    def test_a_lossy_hold_run_leaves_the_table_untouched(self, monkeypatch):
+    def test_a_lossy_hold_run_puts_no_unclean_step_on_a_plan(self, monkeypatch):
         table = estimator._GainsTable(estimator._GAINS_BUDGET)
         monkeypatch.setattr(estimator, "gains_table", table)
         topology, scenario = ddsie_scenario(
             "fixture4_load_change", drop_rate=0.2, delay_rate=0.1, bdd_policy="hold"
         )
+        rounds = track_ddsie_rounds(monkeypatch, computes=())
         pipeline.run_scenario(topology, scenario)
-        assert len(table) == 1  # the run's prepared model, which a second prepare finds
+        assert not all(rounds["clean"])
+        nodes, entries = plan_walk(table)
+        assert nodes and all(node.plan is not None for node in nodes)
+        for _, (fused, held), _ in entries:  # every neighbor's block, all accepted, none held
+            assert len(fused) == 1 and all(all(mask) for _, mask in fused) and not held
+        areas = len(pipeline.prepare(topology, scenario).areas)
+        assert len(table) == 1 + areas  # the prepared model, found again, and one plan per area
         pipeline.prepare(topology, scenario)
-        assert len(table) == 1
+        assert len(table) == 1 + areas
 
     def test_dsie_entries_survive_an_example13_mix_under_the_budget(self, monkeypatch):
         table = estimator._GainsTable(estimator._GAINS_BUDGET)
@@ -1218,7 +1257,79 @@ class TestSharedDdsieGains:
         topology, scenario = ddsie_scenario("example13_load_change")
         for method in ("dsie", "wls", "tse", "ddsie"):
             pipeline.run_scenario(topology, dataclasses.replace(scenario, estimators=(method,)))
-        assert table.nbytes <= table.budget
+        assert plan_bytes(table) <= table.nbytes <= table.budget
         counts = count_gains(monkeypatch)
         pipeline.run_scenario(topology, dataclasses.replace(scenario, estimators=("dsie",), seed=2))
         assert counts["dsie"] == 0
+
+    def test_concurrent_runs_walk_one_plan_and_match_a_cold_run(self, monkeypatch):
+        """Threads that build the same plans at once may build a node twice,
+        but every run sees whole nodes and the table counts each plan node."""
+        table = estimator._GainsTable(estimator._GAINS_BUDGET)
+        monkeypatch.setattr(estimator, "gains_table", table)
+        topology, scenario = ddsie_scenario("fixture4_load_change", duration=0.05, load_events=())
+        scenario = dataclasses.replace(scenario, estimators=("dsie", "tse", "ddsie"))
+        pipeline.prepare(topology, scenario)
+        barrier = threading.Barrier(3, timeout=60)
+
+        def work():
+            barrier.wait()
+            return scenario_series(topology, scenario)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                runs = [f.result(timeout=120) for f in [pool.submit(work) for _ in range(3)]]
+        finally:
+            sys.setswitchinterval(interval)
+        nodes, _ = plan_walk(table)
+        assert nodes and all(node.plan is not None for node in nodes)
+        assert plan_bytes(table) <= table.nbytes
+        table.clear()
+        cold = scenario_series(topology, scenario)
+        for run in runs:
+            assert_same_series(run, cold)
+
+
+class TestHoldRule:
+    """Under the hold policy a run walks its plan up to its first held step,
+    and no node reached through a held step is on a plan."""
+
+    @pytest.mark.parametrize("name", ["fixture4_load_change", "example13_load_change"])
+    def test_a_second_seed_computes_no_gains_before_its_first_held_step(self, name, monkeypatch):
+        scenario = dataclasses.replace(
+            load_scenario(bundled_scenario_path(name)), estimators=("dsie",), bdd_policy="hold"
+        )
+        topology = load_network(bundled_network_path(scenario.network))
+        table = estimator._GainsTable(estimator._GAINS_BUDGET)
+        monkeypatch.setattr(estimator, "gains_table", table)
+        pipeline.run_scenario(topology, dataclasses.replace(scenario, seed=1))
+        _, entries = plan_walk(table)
+        assert any(entry[0] is node for node, _, entry in entries)  # seed 1 settled before it held
+
+        events = []
+        apply_kalman = pipeline.apply_kalman
+
+        def step(*args):
+            events.append(("held", args[-1]))
+            return apply_kalman(*args)
+
+        monkeypatch.setattr(pipeline, "apply_kalman", step)
+        for compute_name in ("joint_wls_gains", "kalman_gains"):
+            compute = getattr(estimator, compute_name)
+
+            def counted(*args, _compute=compute):
+                events.append(("gains",))
+                return _compute(*args)
+
+            monkeypatch.setattr(estimator, compute_name, counted)
+        seed2 = dataclasses.replace(scenario, seed=2)
+        warm = scenario_series(topology, seed2)
+        first = events.index(("held", True))
+        assert first > 0 and ("gains",) not in events[:first] and ("gains",) in events[first:]
+        nodes, entries = plan_walk(table)
+        assert all(node.plan is not None for node in nodes)
+        assert not any(held for _, held, _ in entries)
+        table.clear()
+        assert_same_series(warm, scenario_series(topology, seed2))
