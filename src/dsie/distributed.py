@@ -45,6 +45,7 @@ from .estimator import (
     estimate_input,
     finish_cycle,
     initial_state,
+    settled,
     skips_update,
 )
 from .model import AreaModel
@@ -78,13 +79,16 @@ class AreaEstimator:
 
     ``node`` is the area's node (module docstring), at the covariance of
     ``state``; by default the first node of the area's plan from it. A
-    replaced state needs a new estimator.
+    state replaced with a P_x that is not ``settled`` against the node's
+    takes a new private node at its P_x in ``local_phase``; ``_stepped`` is
+    the state the area's last ``run_round`` left, which needs no check.
     """
 
     area: AreaModel
     state: FilterState
     kappa: float = 3.0
     node: Node | None = None
+    _stepped: FilterState | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.node is None:
@@ -116,9 +120,13 @@ def _area_gains(area: AreaModel, bdd: BddConfig, p_x):
 
 def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
     """Run the local joint estimation with the WLS gains of the area's node
-    and build one message per neighbor, with the node's block for it."""
+    and build one message per neighbor, with the node's block for it. A
+    replaced state first takes its own node (``AreaEstimator``)."""
     area = est.area
-    wls, blocks = est.node.gains
+    node = est.node
+    if est.state is not est._stepped and not settled(est.state.p_x, node.p):
+        est.node = node = Node(est.state.p_x, node.make(est.state.p_x), node.make)
+    wls, blocks = node.gains
     joint, report = estimate_input(est.state, z_u_prev, z_x_now, wls)
     messages = {}
     flag = (bool(report.flagged),)
@@ -274,17 +282,16 @@ def _fuse_on_node(est: AreaEstimator, local: JointEstimate, accepted, held: bool
     memo entry of the area's step (module docstring), which a miss
     computes; moves ``est.node`` on. Returns (fused, the Kalman gains of
     its covariance)."""
-    node = est.node
-    pattern = (tuple((id(msg.p_shared), mask) for msg, mask in accepted), held)
-    entry = node.memo.get(pattern)
-    if entry is None:
+
+    def build():
         idx, p_nb = _fusion_design(accepted, est.area)
         gains = fusion_gains(local.cov, idx, p_nb) if idx.size else None
         kalman = estimator.kalman_gains(est.area.model, local.cov if gains is None else gains.cov)
-        p_next = kalman.p_pred if held else kalman.p_next
         blocks = tuple(msg.p_shared for msg, _ in accepted)
-        entry = node.follow(pattern, clean, p_next, gains, kalman, blocks)
-    est.node, gains, kalman, _ = entry
+        return kalman.p_pred if held else kalman.p_next, gains, kalman, blocks
+
+    pattern = (tuple((id(msg.p_shared), mask) for msg, mask in accepted), held)
+    est.node, gains, kalman, _ = est.node.step(pattern, clean, build)
     if gains is None:
         return local, kalman
     return apply_fusion(gains, local, _fusion_values(accepted)), kalman
@@ -396,7 +403,7 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
     for est, (joint, report), (accepted, checks, missing, held) in zip(estimators, locals_, checked):
         aid = est.area_id
         fused, kalman = _fuse_on_node(est, joint, accepted, held, clean)
-        est.state = finalize_phase(est, fused, measurements[aid][1], held, kalman)
+        est.state = est._stepped = finalize_phase(est, fused, measurements[aid][1], held, kalman)
         results[aid] = RoundResult(
             state=est.state,
             joint_local=joint,

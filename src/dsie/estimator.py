@@ -46,8 +46,10 @@ held step, lost message or rejection. The table also holds the snapshot
 gains (by the bad-data settings) and the prepared models of
 ``pipeline.prepare``. Its entries' arrays hold at most ``_GAINS_BUDGET``
 bytes: a plan is charged for every node that joins it and for what that
-node's memo entry keeps. The lazily built parts of an entry (a model's fixed
-rows, a prepared model's rank report and area models) are not counted.
+node's memo entry keeps, and a step that would take one plan past the budget
+leaves it instead, so a plan never evicts itself. The lazily built parts of
+an entry (a model's fixed rows, a prepared model's rank report and area
+models) are not counted.
 """
 
 from __future__ import annotations
@@ -207,8 +209,8 @@ class Node:
     ``gains`` are the gains taken at covariance ``p``, built by ``make(p)``;
     ``memo`` maps the pattern of each step taken from here to a tuple of
     the node it led to and what else that step's covariance work built.
-    ``plan`` is the ``gains_table`` key of the plan the node is on, or None
-    for a node private to one run.
+    ``plan`` is (``gains_table`` key, first node) of the plan the node is
+    on, or None for a node private to one run.
     """
 
     __slots__ = ("p", "gains", "make", "plan", "memo")
@@ -220,32 +222,38 @@ class Node:
         self.plan = plan
         self.memo = {}
 
-    def follow(self, pattern, clean: bool, p_next, *extras) -> tuple:
-        """The memo entry of a step with ``pattern`` that led from here to
-        covariance ``p_next`` and built ``extras``: (successor, *extras).
+    def step(self, pattern, clean: bool, build) -> tuple:
+        """The memo entry of a step with ``pattern`` from here:
+        (successor, *extras). On a miss ``build()`` does the step's
+        covariance work and returns (p_next, *extras).
 
         The successor is this node while the step leaves the covariance
-        ``settled``, a private copy of it when the step leaves a plan
-        unclean, and otherwise a new node at ``p_next``, on this node's
-        plan only if the step is ``clean``. A plan keeps its clean entries
-        and is charged for them; a private node keeps only its last entry.
+        ``settled``, a private copy of it when the step leaves a plan, and
+        otherwise a new node at ``p_next``. A step stays on this node's plan
+        only if it is ``clean`` and ``gains_table`` can charge the plan for
+        the new node and the extras; a plan keeps those entries, and a
+        private node keeps only its last entry.
         """
-        on_plan = clean and self.plan is not None
-        if not settled(p_next, self.p):
-            successor = Node(p_next, self.make(p_next), self.make, self.plan if on_plan else None)
-        elif on_plan or self.plan is None:
-            successor = self
+        entry = self.memo.get(pattern)
+        if entry is not None:
+            return entry
+        p_next, *extras = build()
+        moved = not settled(p_next, self.p)
+        gains = self.make(p_next) if moved else self.gains
+        if clean and self.plan is not None:
+            grown = _array_bytes(extras) + (_array_bytes(gains) if moved else 0)
+            if gains_table.charge(*self.plan, grown):
+                entry = (Node(p_next, gains, self.make, self.plan) if moved else self, *extras)
+                stored = self.memo.setdefault(pattern, entry)
+                if stored is not entry:  # a concurrent walker stored it first
+                    gains_table.charge(*self.plan, -grown)
+                return stored
+        if moved or self.plan is not None:
+            entry = (Node(p_next if moved else self.p, gains, self.make), *extras)
         else:
-            successor = Node(self.p, self.gains, self.make)
-        entry = (successor, *extras)
+            entry = (self, *extras)
         if self.plan is None:
             self.memo = {pattern: entry}
-        elif on_plan:
-            stored = self.memo.setdefault(pattern, entry)
-            if stored is not entry:  # a concurrent walker stored it first
-                return stored
-            grown = 0 if successor is self else _array_bytes(successor.gains)
-            gains_table.charge(self.plan, grown + _array_bytes(extras))
         return entry
 
 
@@ -255,15 +263,21 @@ def plan(model: DiscreteModel, p0, settings, make) -> Node:
     content, the bytes of ``p0`` and ``settings``, the rest of what the
     gains read."""
     key = (model.content, p0.tobytes(), settings)
-    return gains_table.get(key, lambda: Node(p0, make(p0), make, key))
+
+    def first():
+        node = Node(p0, make(p0), make)
+        node.plan = (key, node)
+        return node
+
+    return gains_table.get(key, first)
 
 
 def _array_bytes(value) -> int:
-    """Bytes of the arrays in ``value``: an array, or a tuple or dataclass
-    of them, or a node's gains."""
+    """Bytes of the arrays in ``value``: an array, or a tuple, list or
+    dataclass of them, or a node's gains."""
     if isinstance(value, np.ndarray):
         return value.nbytes
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return sum(_array_bytes(v) for v in value)
     if isinstance(value, Node):
         return _array_bytes(value.gains)
@@ -316,14 +330,19 @@ class _GainsTable:
             self._evict()
         return value
 
-    def charge(self, key, nbytes: int) -> None:
-        """Count ``nbytes`` more for the entry under ``key``, if it is still held."""
+    def charge(self, key, value, nbytes: int) -> bool:
+        """Count ``nbytes`` more for ``value``, and make it the most recent,
+        if it is still the entry under ``key`` and stays within the budget
+        (older entries are evicted to make room); returns whether it did."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                self._entries[key] = (entry[0], entry[1] + nbytes)
-                self.nbytes += nbytes
-                self._evict()
+            if entry is None or entry[0] is not value or entry[1] + nbytes > self.budget:
+                return False
+            self._entries[key] = (value, entry[1] + nbytes)
+            self._entries.move_to_end(key)
+            self.nbytes += nbytes
+            self._evict()
+            return True
 
     def _evict(self) -> None:
         while self.nbytes > self.budget:

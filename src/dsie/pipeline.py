@@ -251,7 +251,7 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
         held = hold and distance >= wls.threshold
         x, p_next = apply_kalman(kalman, model, estimate, row[model.l :], held)
         run.x_est[k] = x
-        node = (node.memo.get(held) or node.follow(held, not held, p_next))[0]
+        node = node.step(held, not held, lambda: (p_next,))[0]
     run.flags[1:] = run.mahalanobis[1:] >= run.thresholds[1:]
     run.u_est[steps] = run.u_est[steps - 1] if steps else 0.0
     return run
@@ -296,7 +296,7 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     for k, z in enumerate(rows):
         y, squared[k] = apply_tse(node.gains, y, z)
         estimates[k] = y
-        node = (node.memo.get(None) or node.follow(None, True, node.gains.p_next))[0]
+        node = node.step(None, True, lambda: (node.gains.p_next,))[0]
     run.x_est[1:] = estimates[:, : model.n]
     run.u_est[1:] = estimates[:, model.n :]
     np.sqrt(squared, out=squared)

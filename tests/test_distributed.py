@@ -620,8 +620,7 @@ class TestRoundGainsReuse:
         for k in range(1, 60):
             run_round(ests, meas(k))
         assert all(on_settled_node(e.node) for e in ests)  # every area reuses its gains
-        replaced = dataclasses.replace(ests[0].state, p_x=4.0 * ests[0].state.p_x)
-        ests[0] = AreaEstimator(ests[0].area, replaced, ests[0].kappa)
+        ests[0].state = dataclasses.replace(ests[0].state, p_x=4.0 * ests[0].state.p_x)
         before = [e.state for e in ests]
         run_round(ests, meas(60))
         reused = ests[0].state

@@ -992,7 +992,7 @@ def nudged(model, name):
 
 
 class TestNodeRule:
-    """``Node.follow``: where a step leads, by whether it left the covariance
+    """``Node.step``: where a step leads, by whether it left the covariance
     settled and was clean, and what the memos and the plan keep."""
 
     def test_successors_memos_and_charges(self, monkeypatch):
@@ -1000,19 +1000,41 @@ class TestNodeRule:
         monkeypatch.setattr(estimator, "gains_table", table)
         root = estimator.plan(small_model(), np.eye(2), "rule", lambda p: (p.copy(),))
         moved = 2.0 * np.eye(2)
-        entry = root.follow("clean, settled", True, np.eye(2), np.ones(3))
+        entry = root.step("clean, settled", True, lambda: (np.eye(2), np.ones(3)))
         assert entry[0] is root and root.memo["clean, settled"] is entry
-        copy = root.follow("unclean, settled", False, np.eye(2))[0]
+        assert root.step("clean, settled", True, pytest.fail) is entry  # a hit builds nothing
+        copy = root.step("unclean, settled", False, lambda: (np.eye(2),))[0]
         assert copy is not root and copy.plan is None and copy.gains is root.gains
-        joined = root.follow("clean, moved", True, moved)[0]
-        assert joined.plan == root.plan and root.memo["clean, moved"][0] is joined
+        joined = root.step("clean, moved", True, lambda: (moved,))[0]
+        assert joined.plan is root.plan and root.memo["clean, moved"][0] is joined
         np.testing.assert_array_equal(joined.gains[0], moved)
-        private = root.follow("unclean, moved", False, moved)[0]
+        private = root.step("unclean, moved", False, lambda: (moved,))[0]
         assert private.plan is None and set(root.memo) == {"clean, settled", "clean, moved"}
-        assert private.follow("settled", True, moved)[0] is private
-        last = private.follow("moved", True, 3.0 * moved)[0]
+        assert private.step("settled", True, lambda: (moved,))[0] is private
+        last = private.step("moved", True, lambda: (3.0 * moved,))[0]
         assert last.plan is None and list(private.memo) == ["moved"]  # only its last entry
         assert table.nbytes == plan_bytes(table) == 2 * 32 + 24
+
+    def test_a_step_past_the_budget_leaves_the_plan_and_an_orphan_charges_nothing(self, monkeypatch):
+        table = estimator._GainsTable(4 * 32)
+        monkeypatch.setattr(estimator, "gains_table", table)
+        other = table.get("other", lambda: np.zeros(4))  # 32 bytes, the oldest entry
+        root = estimator.plan(small_model(), np.eye(2), "rule", lambda p: (p.copy(),))
+        big = root.step("past the budget", True, lambda: (2.0 * np.eye(2), np.ones(9)))[0]
+        assert big.plan is None and not root.memo and table.nbytes == 64  # charged nothing
+        joined = root.step("fits", True, lambda: (2.0 * np.eye(2), np.ones(4)))[0]
+        assert joined.plan is root.plan and table.nbytes == 128 and len(table) == 2
+        copy = joined.step("settled, past", True, lambda: (2.0 * np.eye(2), np.ones(5)))[0]
+        assert copy is not joined and copy.plan is None and copy.gains is joined.gains
+        assert not joined.memo and table.get("other", pytest.fail) is other
+        assert joined.step("settled", True, lambda: (2.0 * np.eye(2), np.ones(2)))[0] is joined
+        assert table.nbytes == 112 and len(table) == 1  # the plan evicted "other", not itself
+        table.clear()
+        again = estimator.plan(small_model(), np.eye(2), "rule", lambda p: (p.copy(),))
+        assert again is not root and table.nbytes == 32
+        orphan = joined.step("moved", True, lambda: (3.0 * np.eye(2),))[0]
+        assert orphan.plan is None and table.nbytes == 32  # the new entry pays for no orphan
+
 
 class TestSharedGains:
     """``estimator.gains_table`` shares the data-independent gains between
@@ -1085,12 +1107,13 @@ class TestSharedGains:
         monkeypatch.setattr(estimator, "gains_table", small)
         model, scenario, z_x, z_u, x0, p0, u0, nominal = inputs
         for _ in range(2):
-            runs = [pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0)]
-            assert small.nbytes <= small.budget
-            runs.append(pipeline.run_wls(model, z_x, z_u, scenario))
-            assert 0 < small.nbytes <= small.budget  # the snapshot gains fit
-            runs.append(pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal))
-            assert plan_bytes(small) <= small.nbytes <= small.budget
+            runs = [
+                pipeline.run_dsie(model, z_x, z_u, scenario, x0, p0),
+                pipeline.run_wls(model, z_x, z_u, scenario),
+                pipeline.run_tse(model, z_x, z_u, scenario, x0, u0, nominal),
+            ]
+            assert 0 < small.nbytes <= small.budget
+            assert plan_bytes(small) <= small.nbytes
             assert_same_series(series_of(runs), cold)
 
     def test_the_table_evicts_the_least_recently_used_by_bytes_and_stores_no_failure(self):
@@ -1123,8 +1146,10 @@ class TestSharedGains:
         monkeypatch.setattr(estimator, "gains_table", table)
         estimator.plan(model, np.eye(model.n), "settings", lambda p: gains)  # a plan's first node
         assert table.nbytes == 2 * expected
-        table.charge("k", 8)
-        table.charge("gone", 8)  # no entry: counts nothing
+        assert table.charge("k", gains, 8)
+        assert not table.charge("gone", gains, 8)  # no entry: counts nothing
+        assert not table.charge("k", kalman, 8)  # another value: counts nothing
+        assert not table.charge("k", gains, 9 * expected)  # past the budget: counts nothing
         assert table.nbytes == 2 * expected + 8
 
     def test_concurrent_callers_never_raise(self):
