@@ -16,14 +16,16 @@ covariance and each neighbor's read-only block of the joint covariance,
 which the messages carry. The pattern of an area's step is the identity of
 each neighbor block it fused, with its accept mask, and whether the step
 was held; the memo entry keeps those blocks alive and holds the fusion
-gains and the Kalman gains of the fused covariance. The gate widths are
-recomputed every round. A round is clean when every area is on its plan,
-every message arrived, every coordinate was accepted and no area held, so
-the areas of a later run with the same models, P0 and settings walk the
-plan up to their first unclean round. In a lossy hold run nearly every
-area-round builds a new node: such a two-area round costs about 0.35 ms on
-a 2-vCPU x86 machine with OpenBLAS on one thread (the benchmark's
-``step_ms.ddsie`` on ``fixture4-soak``).
+gains and the Kalman gains of the fused covariance. The node also keeps
+each neighbor's gate widths, with the block and kappa they were taken
+from, so a round that repeats them recomputes none (``cross_check``). A
+round is clean when every area is on its plan, every message arrived,
+every coordinate was accepted and no area held, so the areas of a later
+run with the same models, P0 and settings walk the plan up to their first
+unclean round. In a lossy hold run nearly every area-round builds a new
+node: such a two-area round costs about 0.28 ms on a 2-vCPU x86 machine
+with OpenBLAS on one thread (the benchmark's ``step_ms.ddsie`` on
+``fixture4-soak``).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .estimator import (
 from .model import AreaModel
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShareMessage:
     """One area's shared-input estimates for one neighbor, one step."""
 
@@ -64,7 +66,7 @@ class ShareMessage:
     flags: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CrossCheckReport:
     coordinate_ids: tuple[str, ...]
     difference: np.ndarray
@@ -145,12 +147,20 @@ def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
 
 
 def cross_check(
-    local: JointEstimate, msg: ShareMessage, area: AreaModel, kappa: float = 3.0
+    local: JointEstimate,
+    msg: ShareMessage,
+    area: AreaModel,
+    kappa: float = 3.0,
+    node: Node | None = None,
 ) -> CrossCheckReport:
     """Gate each shared coordinate on |local - neighbor| vs. kappa sigma.
 
     The gate width is kappa * sqrt(local variance + neighbor variance) per
     coordinate; a coordinate the sender itself flagged is rejected outright.
+    The widths depend on ``local.cov``, the message's block and kappa alone,
+    so ``node``, if given, keeps them, read-only, with the two arrays they
+    were taken from (held by reference) and kappa, and a later check of the
+    sender with the same three reuses them.
     """
     pairs = area.shared_inputs.get(msg.sender)
     coords = area.shared_coordinates.get(msg.sender)
@@ -164,8 +174,14 @@ def cross_check(
         raise CoordinateMismatch("share message sizes inconsistent with coordinate list")
     shared = area.shared_index[msg.sender]
     difference = np.abs(local.u_hat[shared.u] - msg.u_shared)
-    variance = local.cov[shared.stacked, shared.stacked] + msg.p_shared.diagonal()
-    threshold = kappa * np.sqrt(np.maximum(variance, 0.0))
+    gate = None if node is None else node.gates.get(msg.sender)
+    if gate is None or gate[0] is not local.cov or gate[1] is not msg.p_shared or gate[2] != kappa:
+        variance = local.cov[shared.stacked, shared.stacked] + msg.p_shared.diagonal()
+        widths = _read_only(kappa * np.sqrt(np.maximum(variance, 0.0)))
+        gate = (local.cov, msg.p_shared, kappa, widths)
+        if node is not None:
+            node.gates[msg.sender] = gate
+    threshold = gate[3]
     within = (difference <= threshold).tolist()
     if any(msg.flags):
         within = [ok and not flag for ok, flag in zip(within, msg.flags)]
@@ -341,7 +357,7 @@ class LossyTransport(Transport):
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundResult:
     state: FilterState
     joint_local: JointEstimate
@@ -356,9 +372,9 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
 
     ``measurements`` maps area id -> (z_u_prev, z_x_now). Returns a dict of
     per-area RoundResult and moves each estimator's state and node on in
-    place. Every area cross-checks its messages before any area fuses, so
-    whether the round is clean (module docstring) is known when the areas
-    take their steps.
+    place. Every area cross-checks its messages, with the gate widths its
+    node keeps, before any area fuses, so whether the round is clean
+    (module docstring) is known when the areas take their steps.
     """
     transport = transport or Transport()
     step = estimators[0].state.step if estimators else 0
@@ -369,15 +385,15 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
     locals_: list[tuple[JointEstimate, BddReport]] = []
     outbox: list[ShareMessage] = []
     for est in estimators:
-        z_u_prev, z_x_now = measurements[est.area_id]
-        joint, report, msgs = local_phase(est, z_u_prev, z_x_now)
+        joint, report, msgs = local_phase(est, *measurements[est.area_id])
         locals_.append((joint, report))
         outbox.extend(msgs.values())  # in the sorted order of the neighbors
 
     inbox: dict[str, dict[str, ShareMessage]] = {e.area_id: {} for e in estimators}
     for msg in transport.deliver(outbox):
-        if msg.recipient in inbox:
-            inbox[msg.recipient][msg.sender] = msg
+        received = inbox.get(msg.recipient)
+        if received is not None:
+            received[msg.sender] = msg
 
     checked = []
     clean = True
@@ -391,7 +407,7 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
             if msg is None or msg.step != step:
                 missing.append(neighbor)
                 continue
-            check = cross_check(joint, msg, est.area, est.kappa)
+            check = cross_check(joint, msg, est.area, est.kappa, est.node)
             checks[neighbor] = check
             accepted.append((msg, check.accept))
             clean = clean and all(check.accept)
@@ -404,12 +420,5 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
         aid = est.area_id
         fused, kalman = _fuse_on_node(est, joint, accepted, held, clean)
         est.state = est._stepped = finalize_phase(est, fused, measurements[aid][1], held, kalman)
-        results[aid] = RoundResult(
-            state=est.state,
-            joint_local=joint,
-            joint_fused=fused,
-            bdd=report,
-            cross_checks=checks,
-            missing_neighbors=missing,
-        )
+        results[aid] = RoundResult(est.state, joint, fused, report, checks, missing)
     return results

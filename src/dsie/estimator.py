@@ -55,6 +55,7 @@ models) are not counted.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -75,7 +76,11 @@ _P_FLOOR = 1e-10
 _GAINS_BUDGET = 32 * 2**20
 
 
-@dataclass(frozen=True)
+# The records a step builds (JointEstimate, BddReport, FilterState, and the
+# round records of ``distributed``) are slotted rather than frozen: a ddsie
+# round builds several per area, a frozen field costs a call to set, and
+# nothing hashes them. The package changes none once built.
+@dataclass(slots=True)
 class JointEstimate:
     """Joint (state, input) estimate with its full covariance.
 
@@ -132,7 +137,7 @@ class BddConfig:
         return _chi2_threshold(self.alpha, dof)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BddReport:
     distance: float
     threshold: float
@@ -143,7 +148,7 @@ class BddReport:
     diagonal_fallback: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FilterState:
     """Single-owner filter recursion carrier; advanced by ``finish_cycle``."""
 
@@ -210,10 +215,13 @@ class Node:
     ``memo`` maps the pattern of each step taken from here to a tuple of
     the node it led to and what else that step's covariance work built.
     ``plan`` is (``gains_table`` key, first node) of the plan the node is
-    on, or None for a node private to one run.
+    on, or None for a node private to one run. ``gates`` holds what a
+    ddsie area's cross-check derives from the node's gains and one
+    neighbour's block alone, by neighbour (``distributed.cross_check``);
+    the table does not count it.
     """
 
-    __slots__ = ("p", "gains", "make", "plan", "memo")
+    __slots__ = ("p", "gains", "make", "plan", "memo", "gates")
 
     def __init__(self, p, gains, make, plan=None):
         self.p = p
@@ -221,6 +229,7 @@ class Node:
         self.make = make
         self.plan = plan
         self.memo = {}
+        self.gates = {}
 
     def step(self, pattern, clean: bool, build) -> tuple:
         """The memo entry of a step with ``pattern`` from here:
@@ -468,12 +477,15 @@ def skips_update(report: BddReport, bdd: BddConfig) -> bool:
 
 def _observation(state: FilterState, z_u_prev, z_x_now) -> np.ndarray:
     """The stacked observation [x_hat; z_u_prev; z_x_now], with one finite
-    check of the measurements; ``linalg.as_vector`` names a bad one."""
+    check of the measurements: their sum of squares, and only when that is
+    not finite (an entry is not, or the sum overflowed) each entry, where
+    ``linalg.as_vector`` names a bad one."""
     model = state.model
     z_u_prev = np.asarray(z_u_prev, dtype=float).reshape(-1)
     z_x_now = np.asarray(z_x_now, dtype=float).reshape(-1)
     observation = np.concatenate([state.x_hat, z_u_prev, z_x_now])
-    if not np.isfinite(observation[model.n :]).all():
+    measured = observation[model.n :]
+    if not math.isfinite(measured.dot(measured)):
         linalg.as_vector(z_u_prev, "z_u_prev")
         linalg.as_vector(z_x_now, "z_x_now")
     if z_u_prev.shape[0] != model.l:

@@ -66,8 +66,8 @@ class Prepared:
     """Scenario-resolved model set: nominals, noise levels, matrices.
 
     One is shared, read-only, by every run in the process whose inputs are
-    equal (``prepare``). Its rank report and area models are built on first
-    use and then shared as well.
+    equal (``prepare``). Its rank report, area models and area indexes are
+    built on first use and then shared as well.
     """
 
     topology: NetworkTopology
@@ -96,6 +96,25 @@ class Prepared:
                 measurement_std_override=self.measurement_std_override,
             )
         )
+
+    @functools.cached_property
+    def area_index(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per area of ``areas``, read-only index arrays: the rows of a run's
+        z_x and of its z_u that carry the area's channels, matched by label
+        (``_rows_by_label``), and the columns of the network's state that
+        are the area's states; built on first use."""
+        state_index = self.continuous.state_index
+        index = []
+        for area in self.areas:
+            arrays = (
+                _rows_by_label(area.model.z_x_labels, self.model.z_x_labels),
+                _rows_by_label(area.model.z_u_labels, self.model.z_u_labels),
+                [i for sid in area.model.state_ids for i in state_index[sid]],
+            )
+            index.append(tuple(np.array(a, dtype=np.intp) for a in arrays))
+            for a in index[-1]:
+                a.setflags(write=False)
+        return tuple(index)
 
 
 def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
@@ -319,26 +338,29 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
     """Distributed run over the areas of ``prepared`` with lockstep rounds.
 
     Every area reads its own channels out of the run's one measurement
-    stream by sensor label and starts from its block of ``x0_est``/``p0``.
-    Each area tests at ``_area_bdd``. Each row records every area's
-    distance and the threshold it was tested at (``inf`` on row 0), and a
-    cross-check's coordinates are walked only when it rejected some.
+    stream by sensor label (``Prepared.area_index``) and starts from its
+    block of ``x0_est``/``p0``. Each area tests at ``_area_bdd``. Each row
+    records every area's distance and the threshold it was tested at
+    (``inf`` on row 0), and a cross-check's coordinates are walked only
+    when it rejected some. The areas' states, distances and thresholds are
+    kept per area and gathered into the run's series after the last round.
     """
     steps = z_x.shape[0] - 1
     bdd = _area_bdd(_bdd(scenario), prepared.areas)
-    state_index = prepared.continuous.state_index
-    streams = {}
-    estimators = []
-    for area in prepared.areas:
-        cols_x = np.array([i for sid in area.model.state_ids for i in state_index[sid]], dtype=np.intp)
-        rows_x = _rows_by_label(area.model.z_x_labels, prepared.model.z_x_labels)
-        rows_u = _rows_by_label(area.model.z_u_labels, prepared.model.z_u_labels)
-        streams[area.area_id] = (z_x[:, rows_x], z_u[:, rows_u], cols_x)
-        estimators.append(
-            make_area_estimator(
-                area, x0_est[cols_x], p0[np.ix_(cols_x, cols_x)], bdd, kappa=scenario.kappa
-            )
+    estimators, rows, per_area = [], [], []
+    for area, (rows_x, rows_u, cols_x) in zip(prepared.areas, prepared.area_index):
+        est = make_area_estimator(
+            area, x0_est[cols_x], p0[np.ix_(cols_x, cols_x)], bdd, kappa=scenario.kappa
         )
+        estimators.append(est)
+        rows.append(zip(z_u[:steps, rows_u], z_x[1:, rows_x]))  # round k reads z_u[k-1], z_x[k]
+        # The area's states, distances and thresholds; row 0 is the initial
+        # estimate, never flagged.
+        xs = np.empty((steps + 1, cols_x.shape[0]))
+        xs[0] = est.state.x_hat
+        per_area.append((area.area_id, cols_x, xs, np.zeros(steps + 1), np.full(steps + 1, np.inf)))
+    ids = [e.area_id for e in estimators]
+    ranked = sorted(per_area, key=lambda series: series[0])  # a round walks the areas by id
 
     if scenario.drop_rate > 0 or scenario.delay_rate > 0:
         transport = LossyTransport(
@@ -349,24 +371,25 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
     else:
         transport = Transport()
 
-    x_est = np.zeros((steps + 1, prepared.continuous.n))
     mahal = np.zeros(steps + 1)
     thresholds = np.zeros(steps + 1)
-    thresholds[0] = np.inf  # row 0 is the initial estimate, never flagged
-    flags = np.zeros(steps + 1, dtype=bool)
-    per_area = {e.area_id: np.zeros(steps + 1) for e in estimators}
-    per_area_thresholds = {e.area_id: np.full(steps + 1, np.inf) for e in estimators}
+    thresholds[0] = np.inf
     rejections = []
-    for e in estimators:
-        x_est[0, streams[e.area_id][2]] = e.state.x_hat
-    for k in range(1, steps + 1):
-        meas = {aid: (z_u_a[k - 1], z_x_a[k]) for aid, (z_x_a, z_u_a, _) in streams.items()}
-        results = sorted(run_round(estimators, meas, transport).items())
-        for aid, res in results:
-            x_est[k, streams[aid][2]] = res.state.x_hat
-            per_area[aid][k] = res.bdd.distance
-            per_area_thresholds[aid][k] = res.bdd.threshold
-            flags[k] |= res.bdd.flagged
+    for k, measured in enumerate(zip(*rows), 1):
+        results = run_round(estimators, dict(zip(ids, measured)), transport)
+        # The run-level pair is the one area's whose distance is the largest
+        # share of its threshold (0 for a dof-0 area's infinite one), the
+        # first such by area id, so mahal >= thresholds is the run's flag.
+        worst, worst_share = None, 0.0
+        for aid, _, xs, distances, limits in ranked:
+            res = results[aid]
+            bdd_report = res.bdd
+            xs[k] = res.state.x_hat
+            distances[k] = bdd_report.distance
+            limits[k] = bdd_report.threshold
+            share = bdd_report.distance / bdd_report.threshold
+            if worst is None or share > worst_share:
+                worst, worst_share = bdd_report, share
             for nb, check in res.cross_checks.items():
                 if all(check.accept):
                     continue
@@ -382,11 +405,13 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
                                 "threshold": float(check.threshold[i]),
                             }
                         )
-        # The run-level pair is the one area's whose distance is the largest
-        # share of its threshold (0 for a dof-0 area's infinite one), so
-        # mahal >= thresholds is the run's flag.
-        worst = max((res.bdd for _, res in results), key=lambda r: r.distance / r.threshold)
         mahal[k], thresholds[k] = worst.distance, worst.threshold
+
+    x_est = np.zeros((steps + 1, prepared.continuous.n))
+    flags = np.zeros(steps + 1, dtype=bool)
+    for _, cols_x, xs, distances, limits in ranked:  # in the order a round walks them
+        x_est[:, cols_x] = xs
+        flags |= distances >= limits  # each area's flag, as its report took it
     return MethodRun(
         "ddsie",
         x_est,
@@ -394,8 +419,8 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
         mahal,
         thresholds,
         flags,
-        per_area_mahalanobis=per_area,
-        per_area_thresholds=per_area_thresholds,
+        per_area_mahalanobis={aid: distances for aid, _, _, distances, _ in per_area},
+        per_area_thresholds={aid: limits for aid, _, _, _, limits in per_area},
         crosscheck_rejections=rejections,
     )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dsie import estimator, linalg, model, pipeline
+from dsie import distributed, estimator, linalg, model, pipeline
 from dsie.distributed import (
     AreaEstimator,
     LossyTransport,
@@ -776,6 +776,145 @@ class TestRoundCarry:
         with pytest.raises(ValueError, match=f"{name} contains NaN or Inf"):
             pipeline.run_ddsie(*inputs)
         assert len(carried) == last and carried[-1]
+
+
+class TestGateWidths:
+    """An area's node keeps each neighbour's kappa-sigma gate widths, with
+    the block and kappa they were taken from (``cross_check``)."""
+
+    def test_a_settled_round_reuses_them_and_a_changed_block_recomputes_them(
+        self, monkeypatch, fixture4
+    ):
+        _, streams = truth_and_streams(fixture4, steps=62, seed=7)
+        ests = [
+            make_area_estimator(area, local.x[0], 1.0) for area, local, _, _ in streams.values()
+        ]
+
+        def meas(k):
+            return {aid: (streams[aid][3][k - 1], streams[aid][2][k]) for aid in streams}
+
+        for k in range(1, 60):
+            run_round(ests, meas(k))
+        assert all(on_settled_node(e.node) for e in ests)
+        checked = []
+
+        def recorded(local, msg, area, kappa=3.0, node=None):
+            report = cross_check(local, msg, area, kappa, node)
+            checked.append((msg.sender, report, cross_check(local, msg, area, kappa)))
+            return report
+
+        monkeypatch.setattr(distributed, "cross_check", recorded)
+
+        def widths(k):
+            """Each area's gate widths by sender in round k, each equal to a
+            fresh cross-check's bit for bit."""
+            checked.clear()
+            run_round(ests, meas(k))
+            assert len(checked) == 2
+            for _, report, fresh in checked:
+                np.testing.assert_array_equal(report.threshold, fresh.threshold)
+                np.testing.assert_array_equal(report.difference, fresh.difference)
+                assert report.accept == fresh.accept
+            return {sender: report.threshold for sender, report, _ in checked}
+
+        nodes = [e.node for e in ests]
+        first = widths(60)
+        second = widths(61)
+        assert [e.node for e in ests] == nodes  # both rounds clean and settled
+        for sender, threshold in second.items():
+            assert threshold is first[sender]
+            assert not threshold.flags.writeable
+        sender = ests[0]
+        sender.state = dataclasses.replace(sender.state, p_x=4.0 * sender.state.p_x)
+        third = widths(62)  # the sender takes a new node and sends another block
+        changed = third[sender.area_id]
+        assert changed is not second[sender.area_id]
+        assert not np.array_equal(changed, second[sender.area_id])
+
+
+class TestRunDdsieSeries:
+    """``run_ddsie`` gathers its series from the rounds' results as the
+    per-step code below, which wrote each round into the run's arrays,
+    does, bit for bit."""
+
+    @pytest.mark.parametrize("changes", [{}, LOSSY_HOLD], ids=["bundled", "lossy-hold"])
+    def test_the_series_equal_the_per_step_code(self, monkeypatch, changes):
+        scenario, prepared, z_x, z_u, x0_est, p0 = inputs = ddsie_inputs("fixture4_attack", **changes)
+        rounds = []
+
+        def recorded(estimators, measurements, transport=None):
+            rounds.append(run_round(estimators, measurements, transport))
+            return rounds[-1]
+
+        monkeypatch.setattr(pipeline, "run_round", recorded)
+        run = pipeline.run_ddsie(*inputs)
+        steps = z_x.shape[0] - 1
+        assert len(rounds) == steps
+
+        state_index = prepared.continuous.state_index
+        cols = {
+            a.area_id: [i for sid in a.model.state_ids for i in state_index[sid]]
+            for a in prepared.areas
+        }
+        x_est = np.zeros((steps + 1, prepared.continuous.n))
+        for c in cols.values():
+            x_est[0, c] = x0_est[c]
+        mahal = np.zeros(steps + 1)
+        thresholds = np.zeros(steps + 1)
+        thresholds[0] = np.inf
+        flags = np.zeros(steps + 1, dtype=bool)
+        per_area = {aid: np.zeros(steps + 1) for aid in cols}
+        per_area_thresholds = {aid: np.full(steps + 1, np.inf) for aid in cols}
+        rejections = []
+        for k, round_results in enumerate(rounds, 1):
+            results = sorted(round_results.items())
+            for aid, res in results:
+                x_est[k, cols[aid]] = res.state.x_hat
+                per_area[aid][k] = res.bdd.distance
+                per_area_thresholds[aid][k] = res.bdd.threshold
+                flags[k] |= res.bdd.flagged
+                for nb, check in res.cross_checks.items():
+                    for i, ok in enumerate(check.accept):
+                        if not ok:
+                            rejections.append(
+                                {
+                                    "step": k,
+                                    "area": aid,
+                                    "neighbor": nb,
+                                    "coordinate": check.coordinate_ids[i],
+                                    "difference": float(check.difference[i]),
+                                    "threshold": float(check.threshold[i]),
+                                }
+                            )
+            worst = max((res.bdd for _, res in results), key=lambda r: r.distance / r.threshold)
+            mahal[k], thresholds[k] = worst.distance, worst.threshold
+
+        np.testing.assert_array_equal(run.x_est, x_est)
+        np.testing.assert_array_equal(run.mahalanobis, mahal)
+        np.testing.assert_array_equal(run.thresholds, thresholds)
+        np.testing.assert_array_equal(run.flags, flags)
+        assert run.per_area_mahalanobis.keys() == per_area.keys()
+        for aid, series in per_area.items():
+            np.testing.assert_array_equal(run.per_area_mahalanobis[aid], series)
+            np.testing.assert_array_equal(run.per_area_thresholds[aid], per_area_thresholds[aid])
+        assert run.crosscheck_rejections == rejections
+        assert flags.any() and rejections
+
+    def test_a_tied_share_takes_the_pair_of_the_first_area_by_id(self, monkeypatch):
+        inputs = ddsie_inputs("fixture4_load_change", duration=0.005, load_events=())
+
+        def tied(estimators, measurements, transport=None):
+            results = run_round(estimators, measurements, transport)
+            for i, aid in enumerate(sorted(results, reverse=True), 1):
+                results[aid].bdd = estimator.BddReport(float(i), 2.0 * i, False, 1)
+            return results
+
+        monkeypatch.setattr(pipeline, "run_round", tied)
+        run = pipeline.run_ddsie(*inputs)
+        first = min(run.per_area_mahalanobis)
+        np.testing.assert_array_equal(run.mahalanobis, run.per_area_mahalanobis[first])
+        np.testing.assert_array_equal(run.thresholds, run.per_area_thresholds[first])
+        assert len(run.per_area_mahalanobis) == 2 and run.mahalanobis[1] == 2.0
 
 
 class TestGivenCovariancesOnlyAreValidated:

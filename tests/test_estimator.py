@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -219,6 +220,21 @@ class TestEstimateInput:
         state = initial_state(model, np.zeros(model.n), 1.0)
         with pytest.raises(DimensionMismatch):
             estimate_input(state, np.zeros(model.l + 1), np.zeros(model.p))
+
+    def test_a_finite_measurement_whose_square_overflows_passes_the_finite_check(self):
+        # The check is the measurements' sum of squares, and each entry only
+        # when that is not finite, where a bad one is named.
+        model = small_model()
+        state = initial_state(model, np.zeros(model.n), 1.0)
+        z_u = np.zeros(model.l)
+        z_u[0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            joint, _ = estimate_input(state, z_u, np.zeros(model.p))
+        assert joint.u_hat.shape == (model.m,)
+        z_u[0] = np.nan
+        with pytest.raises(ValueError, match="z_u_prev contains NaN or Inf"):
+            estimate_input(state, z_u, np.zeros(model.p))
 
     def test_rank_deficient_names_inputs(self):
         model = small_model()

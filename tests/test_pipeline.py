@@ -337,6 +337,25 @@ class TestSharedModel:
         run_scenario(topology, replace(scenario, seed=2))
         assert calls == {name: 2 * count for name, count in first.items()}
 
+    def test_a_second_seed_matches_no_area_rows_by_label(self, monkeypatch):
+        calls = []
+        rows_by_label = pipeline._rows_by_label
+
+        def counted(*args):
+            calls.append(args)
+            return rows_by_label(*args)
+
+        monkeypatch.setattr(pipeline, "_rows_by_label", counted)
+        estimator.gains_table.clear()
+        run_scenario(*bundled("fixture4_load_change", estimators=("ddsie",), seed=1))
+        assert len(calls) == 4  # the z_x and z_u rows of 2 areas
+        run_scenario(*bundled("fixture4_load_change", estimators=("ddsie",), seed=2))
+        assert len(calls) == 4
+        prepared = pipeline.prepare(*bundled("fixture4_load_change"))
+        assert len(prepared.area_index) == len(prepared.areas)
+        for arrays in prepared.area_index:
+            assert all(not a.flags.writeable for a in arrays)
+
     @pytest.mark.parametrize("method, zohs", [("dsie", 1), ("wls", 1), ("tse", 1), ("ddsie", 3)])
     def test_one_zoh_per_model_serves_the_filters_and_the_truth(self, monkeypatch, method, zohs):
         calls = []
