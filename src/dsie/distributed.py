@@ -23,7 +23,7 @@ round is clean when every area is on its plan, every message arrived,
 every coordinate was accepted and no area held, so the areas of a later
 run with the same models, P0 and settings walk the plan up to their first
 unclean round. In a lossy hold run nearly every area-round builds a new
-node: such a two-area round costs about 0.28 ms on a 2-vCPU x86 machine
+node: such a two-area round costs about 0.25 ms on a 2-vCPU x86 machine
 with OpenBLAS on one thread (the benchmark's ``step_ms.ddsie`` on
 ``fixture4-soak``).
 """
@@ -83,25 +83,25 @@ class AreaEstimator:
     ``state``; by default the first node of the area's plan from it. A
     state replaced with a P_x that is not ``settled`` against the node's
     takes a new private node at its P_x in ``local_phase``; ``_stepped`` is
-    the state the area's last ``run_round`` left, which needs no check.
+    the state the area's last ``run_round`` left, which needs no check. A
+    node's covariance is exactly symmetric: a P_x from outside the rounds
+    is symmetrized where it enters.
     """
 
     area: AreaModel
     state: FilterState
     kappa: float = 3.0
     node: Node | None = None
+    area_id: str = field(init=False)
     _stepped: FilterState | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self.area_id = self.area.area_id
         if self.node is None:
-            area, bdd = self.area, self.state.bdd
+            area, bdd, p_x = self.area, self.state.bdd, self.state.p_x
             settings = ("area", bdd, tuple(sorted(area.shared_inputs.items())))
             make = functools.partial(_area_gains, area, bdd)
-            self.node = estimator.plan(area.model, self.state.p_x, settings, make)
-
-    @property
-    def area_id(self) -> str:
-        return self.area.area_id
+            self.node = estimator.plan(area.model, 0.5 * (p_x + p_x.T), settings, make)
 
 
 def make_area_estimator(area: AreaModel, x0, p0, bdd: BddConfig | None = None, kappa: float = 3.0):
@@ -127,9 +127,11 @@ def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
     area = est.area
     node = est.node
     if est.state is not est._stepped and not settled(est.state.p_x, node.p):
-        est.node = node = Node(est.state.p_x, node.make(est.state.p_x), node.make)
+        p_x = 0.5 * (est.state.p_x + est.state.p_x.T)
+        est.node = node = Node(p_x, node.make(p_x), node.make)
     wls, blocks = node.gains
     joint, report = estimate_input(est.state, z_u_prev, z_x_now, wls)
+    y = joint.stacked
     messages = {}
     flag = (bool(report.flagged),)
     for neighbor, block in zip(area.neighbors, blocks):
@@ -139,7 +141,7 @@ def local_phase(est: AreaEstimator, z_u_prev, z_x_now):
             recipient=neighbor,
             step=est.state.step,
             coordinate_ids=area.shared_coordinates[neighbor],
-            u_shared=joint.u_hat[shared.u],
+            u_shared=y.take(shared.stacked),
             p_shared=block,
             flags=flag * shared.u.shape[0],
         )
@@ -173,7 +175,7 @@ def cross_check(
     if msg.u_shared.shape[0] != k or msg.p_shared.shape != (k, k) or len(msg.flags) != k:
         raise CoordinateMismatch("share message sizes inconsistent with coordinate list")
     shared = area.shared_index[msg.sender]
-    difference = np.abs(local.u_hat[shared.u] - msg.u_shared)
+    difference = np.abs(local.stacked.take(shared.stacked) - msg.u_shared)
     gate = None if node is None else node.gates.get(msg.sender)
     if gate is None or gate[0] is not local.cov or gate[1] is not msg.p_shared or gate[2] != kappa:
         variance = local.cov[shared.stacked, shared.stacked] + msg.p_shared.diagonal()
@@ -195,7 +197,7 @@ def cross_check(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FusionGains:
     """Fusion of neighbor values z of the stacked (x, u) coordinates
     ``idx``: fused = y + gain (z - y[idx]) with covariance ``cov``."""
@@ -205,13 +207,23 @@ class FusionGains:
     cov: np.ndarray
 
 
-def _fusion_update(u, idx, p_nb):
+def _fusion_update(u, idx, p_nb) -> FusionGains:
     hu = u.take(idx, 0)  # H U for H = the rows idx of the identity
-    s = hu.take(idx, 1) + p_nb
-    factor = linalg.cholesky(0.5 * (s + s.T), "fusion innovation covariance")
+    # S = U[idx, idx] + p_nb is exactly symmetric when U and p_nb are.
+    factor = linalg.cholesky(hu.take(idx, 1) + p_nb, "fusion innovation covariance")
     gain = linalg.cho_solve(factor, hu).T
     fused = u - gain @ hu
-    return gain, 0.5 * (fused + fused.T)
+    return FusionGains(idx=idx, gain=gain, cov=0.5 * (fused + fused.T))
+
+
+def _fusion_gains(u, idx, p_nb) -> FusionGains:
+    """``fusion_gains`` of the exactly symmetric U = ``u`` and ``p_nb``, as a
+    node's WLS covariance and its neighbors' blocks are."""
+    try:
+        return _fusion_update(u, idx, p_nb)
+    except NotPositiveDefinite:  # the local covariance lost definiteness
+        u = linalg.clamp_eigenvalues(u, 1e-12 * max(np.trace(u), 1.0))
+        return _fusion_update(u, idx, p_nb)
 
 
 def fusion_gains(cov, idx, p_nb) -> FusionGains:
@@ -222,16 +234,11 @@ def fusion_gains(cov, idx, p_nb) -> FusionGains:
     the identity, the same as the stacked WLS solution: with
     S = U[idx, idx] + p_nb and K = U[:, idx] S^-1 the fused covariance is
     U - K U[idx, :], from one k x k factorization for k fused coordinates,
-    in O(d^2 k) for U of size d. If S cannot be factored, U's eigenvalues
-    are floored at 1e-12 * max(trace, 1) before the one retry.
+    in O(d^2 k) for U of size d. ``cov`` and ``p_nb`` are symmetrized first.
+    If S cannot be factored, U's eigenvalues are floored at
+    1e-12 * max(trace, 1) before the one retry.
     """
-    u = 0.5 * (cov + cov.T)
-    try:
-        gain, fused = _fusion_update(u, idx, p_nb)
-    except NotPositiveDefinite:  # the local covariance lost definiteness
-        u = linalg.clamp_eigenvalues(u, 1e-12 * max(np.trace(u), 1.0))
-        gain, fused = _fusion_update(u, idx, p_nb)
-    return FusionGains(idx=idx, gain=gain, cov=fused)
+    return _fusion_gains(0.5 * (cov + cov.T), idx, 0.5 * (p_nb + p_nb.T))
 
 
 def apply_fusion(gains: FusionGains, local: JointEstimate, z) -> JointEstimate:
@@ -243,10 +250,19 @@ def apply_fusion(gains: FusionGains, local: JointEstimate, z) -> JointEstimate:
     )
 
 
+def _whole(accepted) -> bool:
+    """Whether ``accepted`` is one message with every coordinate accepted."""
+    return len(accepted) == 1 and all(accepted[0][1])
+
+
 def _fusion_design(accepted, area: AreaModel):
     """(idx, p_nb) of the accepted coordinates: the stacked (x, u)
     positions they measure and the block diagonal of the neighbors'
-    covariance blocks."""
+    covariance blocks; one wholly accepted message's index and block as
+    they are."""
+    if _whole(accepted):
+        msg = accepted[0][0]
+        return area.shared_index[msg.sender].stacked, msg.p_shared
     idx, blocks = [], []
     for msg, mask in accepted:
         stacked = area.shared_index[msg.sender].stacked
@@ -272,6 +288,8 @@ def _fusion_design(accepted, area: AreaModel):
 def _fusion_values(accepted):
     """The neighbors' values of the accepted coordinates, in
     ``_fusion_design``'s order."""
+    if _whole(accepted):
+        return accepted[0][0].u_shared
     values = [
         msg.u_shared if all(mask) else msg.u_shared[np.flatnonzero(mask)]
         for msg, mask in accepted
@@ -284,8 +302,9 @@ def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
 
     ``accepted`` is a list of (ShareMessage, accept mask). Each accepted
     shared coordinate measures the local one with the neighbor's marginal
-    covariance block as noise (``fusion_gains``). With no accepted
-    coordinates the local estimate is returned unchanged.
+    covariance block as noise (``fusion_gains``, which symmetrizes the
+    local covariance and the blocks). With no accepted coordinates the
+    local estimate is returned unchanged.
     """
     idx, p_nb = _fusion_design(accepted, area)
     if not idx.size:
@@ -301,7 +320,7 @@ def _fuse_on_node(est: AreaEstimator, local: JointEstimate, accepted, held: bool
 
     def build():
         idx, p_nb = _fusion_design(accepted, est.area)
-        gains = fusion_gains(local.cov, idx, p_nb) if idx.size else None
+        gains = _fusion_gains(local.cov, idx, p_nb) if idx.size else None
         kalman = estimator.kalman_gains(est.area.model, local.cov if gains is None else gains.cov)
         blocks = tuple(msg.p_shared for msg, _ in accepted)
         return kalman.p_pred if held else kalman.p_next, gains, kalman, blocks
@@ -389,21 +408,18 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
         locals_.append((joint, report))
         outbox.extend(msgs.values())  # in the sorted order of the neighbors
 
-    inbox: dict[str, dict[str, ShareMessage]] = {e.area_id: {} for e in estimators}
-    for msg in transport.deliver(outbox):
-        received = inbox.get(msg.recipient)
-        if received is not None:
-            received[msg.sender] = msg
+    # The latest delivered message by (recipient, sender).
+    inbox = {(msg.recipient, msg.sender): msg for msg in transport.deliver(outbox)}
 
     checked = []
     clean = True
     for est, (joint, report) in zip(estimators, locals_):
-        received = inbox[est.area_id]
+        aid = est.area_id
         accepted = []
         checks: dict[str, CrossCheckReport] = {}
         missing = []
         for neighbor in est.area.neighbors:
-            msg = received.get(neighbor)
+            msg = inbox.get((aid, neighbor))
             if msg is None or msg.step != step:
                 missing.append(neighbor)
                 continue

@@ -76,10 +76,10 @@ _P_FLOOR = 1e-10
 _GAINS_BUDGET = 32 * 2**20
 
 
-# The records a step builds (JointEstimate, BddReport, FilterState, and the
-# round records of ``distributed``) are slotted rather than frozen: a ddsie
-# round builds several per area, a frozen field costs a call to set, and
-# nothing hashes them. The package changes none once built.
+# The records a step builds (JointEstimate, BddReport, FilterState, the
+# gains records and the round records of ``distributed``) are slotted rather
+# than frozen: a ddsie round builds several per area, a frozen field costs a
+# call to set, and nothing hashes them. The package changes none once built.
 @dataclass(slots=True)
 class JointEstimate:
     """Joint (state, input) estimate with its full covariance.
@@ -167,7 +167,7 @@ def initial_state(model: DiscreteModel, x0, p0, bdd: BddConfig | None = None) ->
     return FilterState(model=model, x_hat=x0, p_x=linalg.symmetrize_psd(p0), bdd=bdd or BddConfig())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WlsGains:
     """The data-independent part of one WLS estimate and its bad-data screen.
 
@@ -183,7 +183,7 @@ class WlsGains:
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KalmanGains:
     """Prediction and measurement update from one joint covariance:
     x_pred = ab @ [x; u] with covariance ``p_pred``, then
@@ -195,7 +195,7 @@ class KalmanGains:
     p_next: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CycleGains:
     """Every matrix of one dsie cycle; a function of (model, P_x, bdd)."""
 
@@ -205,7 +205,10 @@ class CycleGains:
 
 def settled(p_next, p) -> bool:
     """Whether one cycle left the covariance P unchanged to a relative 1e-14."""
-    return p_next is p or float(np.abs(p_next - p).max()) <= 1e-14 * float(np.abs(p).max())
+    if p_next is p:
+        return True
+    largest = np.maximum.reduce  # ndarray.max without its Python wrapper
+    return float(largest(np.abs(p_next - p), None)) <= 1e-14 * float(largest(np.abs(p), None))
 
 
 class Node:
@@ -369,13 +372,13 @@ def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
     The estimate map is R^{-1} Q' L^{-1} with covariance R^{-1} R^{-T}.
     The residual screen is the weighted residual sum of squares r' W^{-1} r
     with rows - unknowns degrees of freedom, |(L^{-1} - Q Q' L^{-1}) z|^2;
-    with no redundancy the whitener is zero.
+    with no redundancy the whitener is zero. The covariance comes out
+    exactly symmetric.
     """
     dof = q.shape[0] - q.shape[1]
-    cov = rinv @ rinv.T
     return WlsGains(
         wls=rinv @ qt_linv,
-        cov=0.5 * (cov + cov.T),
+        cov=rinv @ rinv.T,  # numpy forms A A' symmetric (syrk)
         whiten=linv - q @ qt_linv if dof else np.zeros(linv.shape),
         dof=dof,
         threshold=bdd.threshold(dof),
@@ -385,7 +388,7 @@ def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
 def apply_wls(gains: WlsGains, observations):
     """Estimates and residual distances of one observation, or of each row."""
     w = observations @ gains.whiten.T
-    return observations @ gains.wls.T, np.sqrt((w * w).sum(axis=-1))
+    return observations @ gains.wls.T, np.sqrt(np.add.reduce(w * w, axis=-1))
 
 
 def _report(distance, threshold: float, dof: int) -> BddReport:
@@ -416,17 +419,18 @@ def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
     [[L_p^{-1}, 0], [R_0]] = Q~ R; the whitened design's Q is
     [Q~_top; Q_0 Q~_bottom]. A P_x that has lost definiteness gets its
     eigenvalues floored at _P_FLOOR * max(trace, 1) before the one retry.
+    P_x must be exactly symmetric, as every covariance of the cycle is: the
+    factorization reads its lower triangle.
     """
     n, rows, unknowns = model.n, model.n + model.l + model.p, model.n + model.m
     try:
         if rows < unknowns:
             raise RankDeficient(f"underdetermined system: {rows} rows < {unknowns} unknowns", rank=rows)
         fixed = model.fixed_rows
-        p = 0.5 * (p_x + p_x.T)
         try:
-            l_p = linalg.cholesky(p, "P_x")
+            l_p = linalg.cholesky(p_x, "P_x")
         except NotPositiveDefinite:
-            p = linalg.clamp_eigenvalues(p, _P_FLOOR * max(np.trace(p), 1.0))
+            p = linalg.clamp_eigenvalues(p_x, _P_FLOOR * max(np.trace(p_x), 1.0))
             l_p = linalg.cholesky(p, "P_x")
         p_inv = linalg.triangular_inverse(l_p, lower=True)
         stack = np.zeros((n + fixed.r0.shape[0], unknowns))
@@ -475,14 +479,24 @@ def skips_update(report: BddReport, bdd: BddConfig) -> bool:
     return report.flagged and bdd.policy == "hold"
 
 
+_FLOAT = np.dtype(float)
+
+
+def _row(z) -> np.ndarray:
+    """``z`` as a 1-D float64 array: ``z`` itself when it is one."""
+    if z.__class__ is np.ndarray and z.ndim == 1 and z.dtype is _FLOAT:
+        return z
+    return np.asarray(z, dtype=float).reshape(-1)
+
+
 def _observation(state: FilterState, z_u_prev, z_x_now) -> np.ndarray:
     """The stacked observation [x_hat; z_u_prev; z_x_now], with one finite
     check of the measurements: their sum of squares, and only when that is
     not finite (an entry is not, or the sum overflowed) each entry, where
     ``linalg.as_vector`` names a bad one."""
     model = state.model
-    z_u_prev = np.asarray(z_u_prev, dtype=float).reshape(-1)
-    z_x_now = np.asarray(z_x_now, dtype=float).reshape(-1)
+    z_u_prev = _row(z_u_prev)
+    z_x_now = _row(z_x_now)
     observation = np.concatenate([state.x_hat, z_u_prev, z_x_now])
     measured = observation[model.n :]
     if not math.isfinite(measured.dot(measured)):
@@ -511,11 +525,11 @@ def estimate_input(
     Stacks the previous estimate, the previous input measurements and the
     current state measurements over the design [[I,0],[0,D],[C A_d, C B_d]]
     with weight diag(P_x, R_u, C Q C' + R_x), using ``gains``, or the WLS
-    gains at the state's P_x when none are given.
+    gains at the state's P_x, symmetrized, when none are given.
     """
     observation = _observation(state, z_u_prev, z_x_now)
     if gains is None:
-        gains = joint_wls_gains(state.model, state.p_x, state.bdd)
+        gains = joint_wls_gains(state.model, 0.5 * (state.p_x + state.p_x.T), state.bdd)
     return _estimate(gains, observation, state.model.n, state.step)
 
 
@@ -549,8 +563,9 @@ def dsie_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
 
 
 def dsie_plan(model: DiscreteModel, p0, bdd: BddConfig) -> Node:
-    """The first node of dsie from P0 (``plan``); its nodes hold ``dsie_gains``
-    and are reached by whether each step was held."""
+    """The first node of dsie from P0, symmetrized (``plan``); its nodes hold
+    ``dsie_gains`` and are reached by whether each step was held."""
+    p0 = 0.5 * (p0 + p0.T)
     return plan(model, p0, ("dsie", bdd), functools.partial(dsie_gains, model, bdd=bdd))
 
 
@@ -558,13 +573,14 @@ def dsie_step(state: FilterState, z_u_prev, z_x_now):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
     The per-step reference of ``pipeline.run_dsie``: the WLS estimate and
-    screen with ``dsie_gains`` at the state's P_x, then ``finish_cycle``.
+    screen with ``dsie_gains`` at the state's P_x, symmetrized, then
+    ``finish_cycle``.
     With the "hold" policy a flagged step skips the measurement update and
     carries the prediction forward; "alert-only" (default) always updates.
     """
     model = state.model
     observation = _observation(state, z_u_prev, z_x_now)
-    gains = dsie_gains(model, state.p_x, state.bdd)
+    gains = dsie_gains(model, 0.5 * (state.p_x + state.p_x.T), state.bdd)
     joint, report = _estimate(gains.wls, observation, model.n, state.step)
     held = skips_update(report, state.bdd)
     z_x_now = observation[model.n + model.l :]
@@ -619,7 +635,7 @@ def initial_tse_state(model: DiscreteModel, x0, u0, p0) -> TseState:
     return TseState(y_hat=y0, p=linalg.symmetrize_psd(linalg.as_covariance(p0, model.n + model.m)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TseGains:
     """One tracking step's matrices at one P: with the innovation
     v = z - h y the update is y + gain v with covariance ``p_next``, and

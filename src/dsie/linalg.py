@@ -199,13 +199,14 @@ def full_rank_inverse(rf, rows: int):
     """
     p = rf.shape[1]
     diag = np.abs(rf.diagonal())
-    tol = max(rows, p) * _EPS * (diag.max() if diag.size else 0.0)
-    if diag.size == 0 or (diag <= tol).any():
-        bad = [int(i) for i in np.nonzero(diag <= tol)[0]]
-        raise RankDeficient(
-            f"H has column rank < {p}", rank=int(np.sum(diag > tol)), deficient_columns=bad
-        )
-    return triangular_inverse(rf, lower=False)
+    tol = max(rows, p) * _EPS * np.maximum.reduce(diag) if diag.size else 0.0
+    # The smallest entry decides; a NaN makes the tolerance NaN and passes.
+    if diag.size and not np.minimum.reduce(diag) <= tol:
+        return triangular_inverse(rf, lower=False)
+    bad = [int(i) for i in np.nonzero(diag <= tol)[0]]
+    raise RankDeficient(
+        f"H has column rank < {p}", rank=int(np.sum(diag > tol)), deficient_columns=bad
+    )
 
 
 def whitened_qr(h, r):
@@ -221,8 +222,7 @@ def whitened_qr(h, r):
     l = cholesky(r, "R")
     qf, rf = qr(sla.solve_triangular(l, h, lower=True))
     rinv = full_rank_inverse(rf, q)
-    covariance = rinv @ rinv.T
-    return l, qf, rinv, 0.5 * (covariance + covariance.T)
+    return l, qf, rinv, rinv @ rinv.T  # numpy forms A A' symmetric (syrk)
 
 
 def wls_solve(h, r, z) -> WlsResult:

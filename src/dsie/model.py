@@ -246,20 +246,22 @@ class DiscreteModel:
         if self.q.shape != (n, n) or self.r_x.shape[0] != self.c.shape[0] or self.r_u.shape[0] != self.d.shape[0]:
             raise ValueError("noise covariance dimensions inconsistent")
 
-    @property
-    def n(self):
+    # The sizes are read several times in every step, so each is kept on
+    # first use.
+    @functools.cached_property
+    def n(self) -> int:
         return self.a_d.shape[0]
 
-    @property
-    def m(self):
+    @functools.cached_property
+    def m(self) -> int:
         return self.b_d.shape[1]
 
-    @property
-    def p(self):
+    @functools.cached_property
+    def p(self) -> int:
         return self.c.shape[0]
 
-    @property
-    def l(self):
+    @functools.cached_property
+    def l(self) -> int:
         return self.d.shape[0]
 
     @property

@@ -917,6 +917,132 @@ class TestRunDdsieSeries:
         assert len(run.per_area_mahalanobis) == 2 and run.mahalanobis[1] == 2.0
 
 
+BUNDLED = ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
+
+
+class TestExactSymmetry:
+    """Every covariance an area's node path makes equals its transpose, so
+    the node build symmetrizes none of them and leaves no bit to move."""
+
+    @pytest.mark.parametrize("changes", [{}, LOSSY_HOLD], ids=["bundled", "lossy-hold"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_covariance_of_a_run_equals_its_transpose(self, monkeypatch, name, changes):
+        estimator.gains_table.clear()  # every plan node is built in this run
+        seen = {what: [] for what in ("P", "wls", "block", "fused", "p_pred", "p_next")}
+        joint_wls_gains, kalman_gains = estimator.joint_wls_gains, estimator.kalman_gains
+        fusion, check = distributed._fusion_gains, distributed.cross_check
+
+        def wls(model, p_x, bdd):
+            gains = joint_wls_gains(model, p_x, bdd)
+            seen["P"].append(p_x)  # the covariance of the node being built
+            seen["wls"].append(gains.cov)
+            return gains
+
+        def fused(u, idx, p_nb):
+            gains = fusion(u, idx, p_nb)
+            seen["block"].append(p_nb)  # the accepted neighbors' blocks
+            seen["fused"].append(gains.cov)
+            return gains
+
+        def kalman(model, cov):
+            gains = kalman_gains(model, cov)
+            seen["p_pred"].append(gains.p_pred)
+            seen["p_next"].append(gains.p_next)
+            return gains
+
+        def checked(local, msg, area, kappa=3.0, node=None):
+            seen["block"].append(msg.p_shared)
+            return check(local, msg, area, kappa, node)
+
+        monkeypatch.setattr(estimator, "joint_wls_gains", wls)
+        monkeypatch.setattr(estimator, "kalman_gains", kalman)
+        monkeypatch.setattr(distributed, "_fusion_gains", fused)
+        monkeypatch.setattr(distributed, "cross_check", checked)
+        pipeline.run_ddsie(*ddsie_inputs(name, **changes))
+        for what, matrices in seen.items():
+            assert matrices, what
+            assert all(np.array_equal(a, a.T) for a in matrices), what
+
+
+def areas_at_round(name, rounds):
+    """The ddsie area estimators of bundled scenario ``name`` after
+    ``rounds`` lossless rounds, as ``run_ddsie`` sets them up, and the
+    measurements of the next round."""
+    scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(name)
+    bdd = pipeline._area_bdd(pipeline._bdd(scenario), prepared.areas)
+    ests, rows = [], []
+    for area, (rows_x, rows_u, cols_x) in zip(prepared.areas, prepared.area_index):
+        p0_area = p0[np.ix_(cols_x, cols_x)]
+        ests.append(make_area_estimator(area, x0_est[cols_x], p0_area, bdd, kappa=scenario.kappa))
+        rows.append((rows_u, rows_x))
+
+    def meas(k):
+        return {e.area_id: (z_u[k - 1, ru], z_x[k, rx]) for e, (ru, rx) in zip(ests, rows)}
+
+    for k in range(1, rounds + 1):
+        run_round(ests, meas(k))
+    return ests, meas(rounds + 1)
+
+
+class TestNodePathEqualsPublicFunctions:
+    """An area node's gains, taken without symmetrizing, equal those of
+    ``joint_wls_gains``, ``fusion_gains`` and ``kalman_gains`` at the same
+    covariance byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, aid, masks",
+        [
+            ("example13_load_change", "a1", {"a2": (True, False), "a4": (True, True)}),
+            ("fixture4_load_change", "east", {"west": (True, True)}),
+            ("fixture4_load_change", "west", {}),
+        ],
+        ids=["two-neighbors-partial", "one-message-whole", "missing"],
+    )
+    def test_the_gains_of_a_node_and_its_step(self, name, aid, masks):
+        estimator.gains_table.clear()
+        ests, measurements = areas_at_round(name, 5)
+        messages = {}
+        locals_ = {}
+        for e in ests:
+            locals_[e.area_id], _, sent = local_phase(e, *measurements[e.area_id])
+            messages.update({(msg.recipient, e.area_id): msg for msg in sent.values()})
+        est = next(e for e in ests if e.area_id == aid)
+        area, model, joint = est.area, est.area.model, locals_[aid]
+        node = est.node = Node(est.node.p, est.node.make(est.node.p), est.node.make)  # private
+
+        wls, blocks = node.gains
+        expected = estimator.joint_wls_gains(model, node.p, est.state.bdd)
+        for field in ("wls", "cov", "whiten"):
+            assert getattr(wls, field).tobytes() == getattr(expected, field).tobytes()
+        assert (wls.dof, wls.threshold) == (expected.dof, expected.threshold)
+        for nb, block in zip(area.neighbors, blocks):
+            assert block.tobytes() == expected.cov[area.shared_index[nb].block].tobytes()
+
+        accepted = [(messages[(aid, nb)], mask) for nb, mask in masks.items()]
+        fused, kalman = distributed._fuse_on_node(est, joint, accepted, False, False)
+        ((_, gains, entry_kalman, _),) = node.memo.values()
+        assert entry_kalman is kalman
+        if accepted:
+            idx = np.concatenate(
+                [area.shared_index[msg.sender].stacked[list(mask)] for msg, mask in accepted]
+            )
+            p_nb = sla.block_diag(*[msg.p_shared[np.ix_(mask, mask)] for msg, mask in accepted])
+            public = fusion_gains(joint.cov, idx, p_nb)
+            np.testing.assert_array_equal(gains.idx, idx)
+            assert gains.gain.tobytes() == public.gain.tobytes()
+            assert gains.cov.tobytes() == public.cov.tobytes()
+            by_fuse = fuse(joint, accepted, area)
+            assert fused.stacked.tobytes() == by_fuse.stacked.tobytes()
+            assert fused.cov.tobytes() == by_fuse.cov.tobytes()
+            cov = public.cov
+        else:
+            assert gains is None and fused is joint
+            cov = joint.cov
+        public_kalman = estimator.kalman_gains(model, cov)
+        for field in ("ab", "p_pred", "gain", "p_next"):
+            assert getattr(kalman, field).tobytes() == getattr(public_kalman, field).tobytes()
+
+
 class TestGivenCovariancesOnlyAreValidated:
     """``linalg.symmetrize_psd`` checks the covariances a run is given: each
     initial P0, and the tracking Q once per tracking gains computation. The

@@ -221,6 +221,38 @@ class TestEstimateInput:
         with pytest.raises(DimensionMismatch):
             estimate_input(state, np.zeros(model.l + 1), np.zeros(model.p))
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            list,
+            lambda v: np.asarray(v, dtype=float).reshape(1, -1),
+            lambda v: np.asarray(v, dtype=float).astype(int),
+            lambda v: np.asarray(v, dtype=float),
+        ],
+        ids=["list", "2-D row", "int array", "float array"],
+    )
+    @pytest.mark.parametrize("which", ["z_u_prev", "z_x_now"])
+    def test_a_measurement_row_in_any_form_is_checked_alike(self, form, which):
+        # Rows that are already 1-D float64 arrays are used as they are; any
+        # other form is converted first. Each gets the same checks.
+        model = small_model()
+        state = initial_state(model, np.zeros(model.n), 1.0)
+        rows = {"z_u_prev": [1.0] * model.l, "z_x_now": [2.0] * model.p}
+        length = len(rows[which])
+
+        def observe(row):
+            return estimator._observation(state, **{**rows, which: form(row)})
+
+        expected = np.concatenate([state.x_hat, rows["z_u_prev"], rows["z_x_now"]])
+        assert observe(rows[which]).tobytes() == expected.tobytes()
+        with pytest.raises(DimensionMismatch) as raised:
+            observe([3.0] * (length + 1))
+        assert str(raised.value) == f"{which} must have length {length}, got {length + 1}"
+        if np.asarray(form(rows[which])).dtype == float:  # an int array holds no NaN
+            with pytest.raises(ValueError) as raised:
+                observe([np.nan] + [3.0] * (length - 1))
+            assert str(raised.value) == f"{which} contains NaN or Inf entries"
+
     def test_a_finite_measurement_whose_square_overflows_passes_the_finite_check(self):
         # The check is the measurements' sum of squares, and each entry only
         # when that is not finite, where a bad one is named.

@@ -297,6 +297,93 @@ class TestQr:
                 _assert_numpy_qr(mats[j], q, r)
 
 
+_EPS = np.finfo(float).eps
+
+
+def _upper(diagonal):
+    """An upper-triangular matrix of ones with the given diagonal."""
+    r = np.triu(np.ones((len(diagonal), len(diagonal))))
+    r[np.diag_indices(len(diagonal))] = diagonal
+    return r
+
+
+class TestFullRankInverse:
+    """The rank decision of ``full_rank_inverse``: a diagonal entry of R at or
+    below max(rows, columns) * eps * max |diag R| is deficient."""
+
+    @pytest.mark.parametrize("rows", [3, 5, 40])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_entry_at_the_tolerance_is_deficient(self, rows, sign):
+        tol = max(rows, 3) * _EPS * 2.0
+        with pytest.raises(RankDeficient, match="column rank < 3") as raised:
+            linalg.full_rank_inverse(_upper([2.0, sign * tol, 1.0]), rows)
+        assert raised.value.rank == 2
+        assert raised.value.deficient_columns == [1]
+
+    @pytest.mark.parametrize("rows", [3, 5, 40])
+    def test_an_entry_one_ulp_above_the_tolerance_passes(self, rows):
+        tol = max(rows, 3) * _EPS * 2.0
+        r = _upper([2.0, np.nextafter(tol, np.inf), 1.0])
+        got = linalg.full_rank_inverse(r, rows)
+        assert got.tobytes() == linalg.triangular_inverse(r, lower=False).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)], ids=str)
+    def test_an_empty_r_has_rank_zero(self, shape):
+        with pytest.raises(RankDeficient, match=f"column rank < {shape[1]}") as raised:
+            linalg.full_rank_inverse(np.zeros(shape), 2)
+        assert raised.value.rank == 0
+        assert raised.value.deficient_columns == []
+
+    def test_a_nan_diagonal_passes_the_rank_test(self):
+        # Its tolerance is NaN, so no entry is at or below it.
+        r = _upper([2.0, np.nan, 1.0])
+        got = linalg.full_rank_inverse(r, 5)
+        assert got.tobytes() == linalg.triangular_inverse(r, lower=False).tobytes()
+        assert np.isnan(got[:2, 1:]).all() and got[2, 2] == 1.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular triangular"):
+            linalg.full_rank_inverse(_upper([2.0, np.nan, 0.0]), 5)
+
+    def test_an_infinite_diagonal_makes_every_column_deficient(self):
+        with pytest.raises(RankDeficient) as raised:
+            linalg.full_rank_inverse(_upper([2.0, np.inf, 1.0]), 5)
+        assert raised.value.rank == 0
+        assert raised.value.deficient_columns == [0, 1, 2]
+
+
+def _assert_exactly_symmetric(a):
+    assert np.array_equal(a, a.T)
+
+
+class TestExactlySymmetricCovariance:
+    """numpy forms R^-1 R^-T with a rank-k update (syrk) and mirrors one
+    triangle, so the WLS covariances come out exactly symmetric, and no
+    caller symmetrizes them again. A numpy that stops doing so fails here."""
+
+    @pytest.mark.parametrize(
+        "name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"]
+    )
+    def test_every_area_and_the_centralized_joint_shape(self, name):
+        rng = np.random.default_rng(47)
+        prepared = _prepared(name)
+        for model in [area.model for area in prepared.areas] + [prepared.model]:
+            rows = model.n + model.l + model.p
+            for _ in range(20):
+                stack = _joint_stack(model, random_spd(rng, model.n, condition=1e4))
+                rinv = linalg.full_rank_inverse(linalg.qr(stack)[1], rows)
+                _assert_exactly_symmetric(rinv @ rinv.T)
+
+    def test_the_snapshot_covariance(self):
+        model = _prepared("example13_load_change").model
+        _assert_exactly_symmetric(linalg.whitened_qr(*model.measurement_design)[3])
+
+    @pytest.mark.parametrize("size", [8, 16, 33, 64, 126])
+    def test_random_triangular_inverses(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            rinv = np.triu(rng.normal(size=(size, size))) + size * np.eye(size)
+            _assert_exactly_symmetric(rinv @ rinv.T)
+
+
 def _openblas_library(package, pattern):
     libs_dir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
     found = sorted(libs_dir.glob(pattern))
