@@ -1,7 +1,7 @@
 """Dynamic state and input estimation for microgrids.
 
 Builds dq-frame state-space models from a declarative network
-description, runs a joint Kalman/WLS filter that estimates branch-current
+description, runs a joint WLS filter that estimates branch-current
 states and bus-voltage/load-current inputs simultaneously, screens bad
 data with Mahalanobis residual tests, and executes the multi-area
 distributed variant with shared-input exchange and fusion.

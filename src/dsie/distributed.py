@@ -6,9 +6,10 @@ Each round: every area runs its local joint estimation, extracts
 shared-input estimates into messages for its neighbors, the transport
 delivers (or drops) them, and each area cross-checks incoming estimates,
 fuses the accepted coordinates as extra measurements, and finishes the
-cycle (``estimator.finish_cycle``). A missing or rejected message degrades
-to local-only estimation for that neighbor; nothing aborts the round. An
-area with no neighbors runs dsie's cycle exactly.
+cycle from the fused estimate (``estimator.finish_cycle``). A missing or
+rejected message degrades to local-only estimation for that neighbor;
+nothing aborts the round. An area with no neighbors runs dsie's cycle
+exactly.
 
 Each area walks its own path of ``estimator.Node``s (the estimator module
 docstring has the rule). An area node holds the WLS gains at the area's
@@ -16,14 +17,14 @@ covariance and each neighbor's read-only block of the joint covariance,
 which the messages carry. The pattern of an area's step is the identity of
 each neighbor block it fused, with its accept mask, and whether the step
 was held; the memo entry keeps those blocks alive and holds the fusion
-gains and the Kalman gains of the fused covariance. The node also keeps
-each neighbor's gate widths, with the block and kappa they were taken
+gains, and the node it leads to holds the next covariance. The node also
+keeps each neighbor's gate widths, with the block and kappa they were taken
 from, so a round that repeats them recomputes none (``cross_check``). A
 round is clean when every area is on its plan, every message arrived,
 every coordinate was accepted and no area held, so the areas of a later
 run with the same models, P0 and settings walk the plan up to their first
 unclean round. In a lossy hold run nearly every area-round builds a new
-node: such a two-area round costs about 0.25 ms on a 2-vCPU x86 machine
+node: such a two-area round costs about 0.21 ms on a 2-vCPU x86 machine
 with OpenBLAS on one thread (the benchmark's ``step_ms.ddsie`` on
 ``fixture4-soak``).
 """
@@ -42,7 +43,6 @@ from .estimator import (
     BddReport,
     FilterState,
     JointEstimate,
-    KalmanGains,
     Node,
     estimate_input,
     finish_cycle,
@@ -313,32 +313,31 @@ def fuse(local: JointEstimate, accepted, area: AreaModel) -> JointEstimate:
 
 
 def _fuse_on_node(est: AreaEstimator, local: JointEstimate, accepted, held: bool, clean: bool):
-    """``fuse`` for ``run_round``, with the fusion and Kalman gains of the
-    memo entry of the area's step (module docstring), which a miss
-    computes; moves ``est.node`` on. Returns (fused, the Kalman gains of
-    its covariance)."""
+    """``fuse`` for ``run_round``, with the fusion gains of the memo entry
+    of the area's step (module docstring), which a miss computes with the
+    next covariance of the fused one (``estimator.next_covariance``);
+    moves ``est.node`` on, to a node at that covariance. Returns the fused
+    estimate."""
 
     def build():
         idx, p_nb = _fusion_design(accepted, est.area)
         gains = _fusion_gains(local.cov, idx, p_nb) if idx.size else None
-        kalman = estimator.kalman_gains(est.area.model, local.cov if gains is None else gains.cov)
+        cov = local.cov if gains is None else gains.cov
         blocks = tuple(msg.p_shared for msg, _ in accepted)
-        return kalman.p_pred if held else kalman.p_next, gains, kalman, blocks
+        return estimator.next_covariance(est.area.model, cov, held), gains, blocks
 
     pattern = (tuple((id(msg.p_shared), mask) for msg, mask in accepted), held)
-    est.node, gains, kalman, _ = est.node.step(pattern, clean, build)
+    est.node, gains, _ = est.node.step(pattern, clean, build)
     if gains is None:
-        return local, kalman
-    return apply_fusion(gains, local, _fusion_values(accepted)), kalman
+        return local
+    return apply_fusion(gains, local, _fusion_values(accepted))
 
 
-def finalize_phase(
-    est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool, kalman: KalmanGains
-) -> FilterState:
-    """Finish the area's cycle from the fused joint estimate with the Kalman
-    gains of its covariance (``finish_cycle``): predict, and update unless
-    the step is held."""
-    return finish_cycle(est.state, fused, z_x_now, held, kalman)
+def finalize_phase(est: AreaEstimator, fused: JointEstimate, z_x_now, held: bool) -> FilterState:
+    """Finish the area's cycle from the fused joint estimate
+    (``finish_cycle``), with the covariance of the node ``_fuse_on_node``
+    moved the area to."""
+    return finish_cycle(est.state, fused, z_x_now, held, est.node.p)
 
 
 class Transport:
@@ -434,7 +433,7 @@ def run_round(estimators: list[AreaEstimator], measurements, transport: Transpor
     results: dict[str, RoundResult] = {}
     for est, (joint, report), (accepted, checks, missing, held) in zip(estimators, locals_, checked):
         aid = est.area_id
-        fused, kalman = _fuse_on_node(est, joint, accepted, held, clean)
-        est.state = est._stepped = finalize_phase(est, fused, measurements[aid][1], held, kalman)
+        fused = _fuse_on_node(est, joint, accepted, held, clean)
+        est.state = est._stepped = finalize_phase(est, fused, measurements[aid][1], held)
         results[aid] = RoundResult(est.state, joint, fused, report, checks, missing)
     return results

@@ -1,24 +1,26 @@
 """Centralized joint state/input estimation cycle and the two baselines.
 
-The per-step cycle is: weighted-least-squares estimation of the previous
-state and input from (previous estimate, previous input measurements,
-current state measurements), bad-data screening of that system's
-residual, prediction through the discrete model, and a Kalman
-measurement update (``linalg.kalman_update``, the update the tracking
-baseline uses too). Every matrix of the cycle depends on the model, P_x
-and the bad-data settings only. The cycle is written once, as two halves
-that ``dsie_step`` and each area of ``distributed.run_round`` call: WLS
-gains at P_x (``joint_wls_gains``), then ``finish_cycle``, which predicts
-and updates. The rows of the joint design whose weight does not depend on
-P_x are whitened and QR-factored once per model, so a gains call factors
-only P_x and a small stack on top of them. The bad-data distance is the
-weighted residual sum of squares r' W^{-1} r (the J(x) test with
-rows - unknowns degrees of freedom), taken from the same QR. The
-snapshot-WLS and tracking (random-walk) baselines live here as well: both
-read the model's stacked measurement map.
+The per-step cycle is the least-squares estimate of (x(k-1), u(k-1), x(k))
+from the prior x_hat(k-1) ~ P_x, z_u(k-1) = D u(k-1) ~ R_u, x(k) =
+A_d x(k-1) + B_d u(k-1) ~ Q and z_x(k) = C x(k) ~ R_x, which uses each
+measurement once (README "Estimation cycle"). Integrating x(k) out leaves
+the joint WLS over y = (x(k-1), u(k-1)) with weight
+diag(P_x, R_u, C Q C' + R_x), whose residual is screened for bad data; x(k)
+is then the model's fixed map M y + K z_x(k) with covariance M P_y M' + Q_+
+(``model.FixedRows``), or the prediction [A_d B_d] y on a held step. Every
+matrix of the cycle depends on the model, P_x and the bad-data settings
+only. The cycle is written once, as two halves that ``dsie_step`` and each
+area of ``distributed.run_round`` call: WLS gains at P_x
+(``joint_wls_gains``), then ``finish_cycle``. The rows of the joint design
+whose weight does not depend on P_x are whitened and QR-factored once per
+model, so a gains call factors only P_x and a small stack on top of them.
+The bad-data distance is the weighted residual sum of squares r' W^{-1} r
+(the J(x) test with rows - unknowns degrees of freedom), taken from the
+same QR. The snapshot-WLS and tracking (random-walk) baselines live here as
+well: both read the model's stacked measurement map.
 
-A step's data work is written apart from its gains: ``apply_wls``,
-``apply_kalman`` and ``apply_tse``. ``dsie_step`` and ``tse_step`` are the
+A step's data work is written apart from its covariance work: ``apply_wls``,
+``next_estimate`` and ``apply_tse``. ``dsie_step`` and ``tse_step`` are the
 per-step references: they take their gains at the state's covariance.
 
 A filter's gains depend on the model, its P0 and settings, and each step's
@@ -62,7 +64,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from . import linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
@@ -117,7 +119,9 @@ class JointEstimate:
 
 @functools.lru_cache(maxsize=None)
 def _chi2_threshold(alpha: float, dof: int) -> float:
-    return float(np.sqrt(chi2.ppf(1.0 - alpha, dof)))
+    """sqrt(chi2.ppf(1 - alpha, dof)) as scipy.stats computes it, 2
+    gammaincinv(dof / 2, 1 - alpha), without importing scipy.stats."""
+    return float(np.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - alpha)))
 
 
 @dataclass(frozen=True)
@@ -181,26 +185,6 @@ class WlsGains:
     whiten: np.ndarray
     dof: int
     threshold: float
-
-
-@dataclass(slots=True)
-class KalmanGains:
-    """Prediction and measurement update from one joint covariance:
-    x_pred = ab @ [x; u] with covariance ``p_pred``, then
-    x_pred + gain (z_x - C x_pred) with covariance ``p_next``."""
-
-    ab: np.ndarray
-    p_pred: np.ndarray
-    gain: np.ndarray
-    p_next: np.ndarray
-
-
-@dataclass(slots=True)
-class CycleGains:
-    """Every matrix of one dsie cycle; a function of (model, P_x, bdd)."""
-
-    wls: WlsGains
-    kalman: KalmanGains
 
 
 def settled(p_next, p) -> bool:
@@ -456,26 +440,32 @@ def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
     return _finish(q, rinv, linv, qt_linv, bdd)
 
 
-def kalman_gains(model: DiscreteModel, cov) -> KalmanGains:
-    """Prediction through the model and the Kalman update for joint covariance ``cov``."""
-    ab = model.ab
-    p_pred = ab @ cov @ ab.T + model.q
-    p_pred = 0.5 * (p_pred + p_pred.T)
-    gain, p_next, _ = linalg.kalman_update(p_pred, model.c, model.r_x)
-    return KalmanGains(ab, p_pred, gain, p_next)
-
-
-def apply_kalman(gains: KalmanGains, model: DiscreteModel, estimate, z_x_now, held: bool):
-    """Predict the stacked joint estimate [x; u] forward, then update with
-    ``z_x_now`` unless the step is held; returns (x_hat, p_x)."""
-    x_pred = gains.ab @ estimate
+def next_estimate(model: DiscreteModel, estimate, z_x_now, held: bool):
+    """x_hat(k) from the stacked joint estimate [x_hat(k-1); u_hat(k-1)]:
+    the model's map M y + K z_x(k) (``model.FixedRows``), or the prediction
+    [A_d B_d] y when the step is held."""
     if held:
-        return x_pred, gains.p_pred
-    return x_pred + gains.gain @ (z_x_now - model.c @ x_pred), gains.p_next
+        return model.ab @ estimate
+    fixed = model.fixed_rows
+    return fixed.transition @ estimate + fixed.gain @ z_x_now
+
+
+def next_covariance(model: DiscreteModel, cov, held: bool):
+    """P_x(k) from the joint covariance P_y of ``next_estimate``'s y:
+    M P_y M' + Q_+, or [A_d B_d] P_y [A_d B_d]' + Q when the step is held;
+    exactly symmetric."""
+    if held:
+        f, q = model.ab, model.q
+    else:
+        fixed = model.fixed_rows
+        f, q = fixed.transition, fixed.q_plus
+    p = f @ cov @ f.T + q
+    return 0.5 * (p + p.T)
 
 
 def skips_update(report: BddReport, bdd: BddConfig) -> bool:
-    """Whether the "hold" policy skips this step's measurement update."""
+    """Whether the "hold" policy takes the prediction for this step's x(k)
+    instead of the map of the estimate and z_x(k) (``next_estimate``)."""
     return report.flagged and bdd.policy == "hold"
 
 
@@ -534,9 +524,9 @@ def estimate_input(
 
 
 def predict(joint: JointEstimate, model: DiscreteModel):
-    """Propagate the joint estimate one step: x = A_d x + B_d u."""
-    gains = kalman_gains(model, joint.cov)
-    return gains.ab @ joint.stacked, gains.p_pred
+    """Propagate the joint estimate one step: x = A_d x + B_d u, with
+    covariance [A_d B_d] P [A_d B_d]' + Q."""
+    return model.ab @ joint.stacked, next_covariance(model, joint.cov, True)
 
 
 def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
@@ -546,45 +536,37 @@ def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
     return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
 
 
-def finish_cycle(
-    state: FilterState, joint: JointEstimate, z_x_now, held: bool, kalman: KalmanGains
-) -> FilterState:
-    """The second half of a cycle: predict from ``joint`` with its Kalman
-    gains ``kalman``, update with ``z_x_now`` unless the step is held, and
-    return the next state."""
-    x_hat, p_x = apply_kalman(kalman, state.model, joint.stacked, z_x_now, held)
+def finish_cycle(state: FilterState, joint: JointEstimate, z_x_now, held: bool, p_x) -> FilterState:
+    """The second half of a cycle: the next state from ``joint`` and
+    ``z_x_now`` (``next_estimate``), with its covariance ``p_x``."""
+    x_hat = next_estimate(state.model, joint.stacked, z_x_now, held)
     return FilterState(state.model, x_hat, p_x, state.bdd, state.step + 1)
-
-
-def dsie_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> CycleGains:
-    """Both halves of a dsie cycle's gains at P_x."""
-    wls = joint_wls_gains(model, p_x, bdd)
-    return CycleGains(wls, kalman_gains(model, wls.cov))
 
 
 def dsie_plan(model: DiscreteModel, p0, bdd: BddConfig) -> Node:
     """The first node of dsie from P0, symmetrized (``plan``); its nodes hold
-    ``dsie_gains`` and are reached by whether each step was held."""
+    ``joint_wls_gains`` and are reached by whether each step was held."""
     p0 = 0.5 * (p0 + p0.T)
-    return plan(model, p0, ("dsie", bdd), functools.partial(dsie_gains, model, bdd=bdd))
+    return plan(model, p0, ("dsie", bdd), lambda p: joint_wls_gains(model, p, bdd))
 
 
 def dsie_step(state: FilterState, z_u_prev, z_x_now):
     """One full estimation cycle; returns (next state, joint, bad-data report).
 
     The per-step reference of ``pipeline.run_dsie``: the WLS estimate and
-    screen with ``dsie_gains`` at the state's P_x, symmetrized, then
-    ``finish_cycle``.
-    With the "hold" policy a flagged step skips the measurement update and
-    carries the prediction forward; "alert-only" (default) always updates.
+    screen with ``joint_wls_gains`` at the state's P_x, symmetrized, then
+    ``finish_cycle`` with ``next_covariance``.
+    With the "hold" policy a flagged step does not use z_x(k) for x(k) and
+    carries the prediction forward; "alert-only" (default) always uses it.
     """
     model = state.model
     observation = _observation(state, z_u_prev, z_x_now)
-    gains = dsie_gains(model, 0.5 * (state.p_x + state.p_x.T), state.bdd)
-    joint, report = _estimate(gains.wls, observation, model.n, state.step)
+    gains = joint_wls_gains(model, 0.5 * (state.p_x + state.p_x.T), state.bdd)
+    joint, report = _estimate(gains, observation, model.n, state.step)
     held = skips_update(report, state.bdd)
     z_x_now = observation[model.n + model.l :]
-    return finish_cycle(state, joint, z_x_now, held, gains.kalman), joint, report
+    p_x = next_covariance(model, gains.cov, held)
+    return finish_cycle(state, joint, z_x_now, held, p_x), joint, report
 
 
 @dataclass(frozen=True)

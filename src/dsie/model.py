@@ -363,21 +363,31 @@ def stacked_design(model: DiscreteModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FixedRows:
-    """The rows of the joint design whose weight does not depend on P_x.
+    """The rows of the joint design whose weight does not depend on P_x,
+    and the next-state map.
 
-    With W_f = diag(R_u, C Q C' + R_x) = L_f L_f', ``whiten`` is L_f^{-1},
-    the whitened rows L_f^{-1} [[0, D], [C A_d, C B_d]] are ``q0 @ r0``
-    (reduced QR), and ``c0`` = q0' L_f^{-1}.
+    With W_f = diag(R_u, S) = L_f L_f' for S = C Q C' + R_x, ``whiten`` is
+    L_f^{-1}, the whitened rows L_f^{-1} [[0, D], [C A_d, C B_d]] are
+    ``q0 @ r0`` (reduced QR), and ``c0`` = q0' L_f^{-1}. With W_S the S
+    block of ``whiten`` and G = W_S C Q, x(k) given the estimate y of
+    (x(k-1), u(k-1)) and z_x(k) is M y + K z_x(k) with covariance
+    M P_y M' + Q_+, for K = ``gain`` = G' W_S = Q C' S^{-1},
+    M = ``transition`` = [A_d B_d] - K C [A_d B_d] and Q_+ = ``q_plus`` =
+    Q - G'G. A zero row of Q gives zero rows of K and Q_+.
     """
 
     whiten: np.ndarray
     q0: np.ndarray
     r0: np.ndarray
     c0: np.ndarray
+    gain: np.ndarray
+    transition: np.ndarray
+    q_plus: np.ndarray
 
 
 def factor_fixed_rows(model: DiscreteModel) -> FixedRows:
-    """Whiten and QR-factor the joint design's R_u and C Q C' + R_x rows.
+    """Whiten and QR-factor the joint design's R_u and C Q C' + R_x rows, and
+    take the next-state map from the same factor.
 
     These are the same for every P_x, so ``DiscreteModel.fixed_rows``
     computes them once per model, when the first joint gains need them.
@@ -390,7 +400,11 @@ def factor_fixed_rows(model: DiscreteModel) -> FixedRows:
         linalg.cholesky(weight, "fixed-row weight diag(R_u, C Q C' + R_x)"), lower=True
     )
     q0, r0 = linalg.qr(whiten @ stacked_design(model)[n:])
-    return FixedRows(whiten=whiten, q0=q0, r0=r0, c0=q0.T @ whiten)
+    w_s = whiten[l:, l:]
+    g = w_s @ model.c @ model.q
+    gain = g.T @ w_s
+    transition = model.ab - gain @ (model.c @ model.ab)
+    return FixedRows(whiten, q0, r0, q0.T @ whiten, gain, transition, model.q - g.T @ g)
 
 
 @dataclass(frozen=True)

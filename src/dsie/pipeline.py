@@ -25,13 +25,14 @@ from .distributed import LossyTransport, Transport, make_area_estimator, run_rou
 from .errors import SingularAtSteadyState
 from .estimator import (
     BddConfig,
-    apply_kalman,
     apply_tse,
     apply_wls,
     dsie_plan,
     dsie_step,  # noqa: F401  unused; the tracer test asserts pipeline.dsie_step is estimator.dsie_step
     initial_state,
     initial_tse_state,
+    next_covariance,
+    next_estimate,
     snapshot_gains,
     tse_plan,
 )
@@ -249,9 +250,10 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
 
     Row ``k - 1`` of the rows is (z_u[k-1], z_x[k]), validated once, up
     front. Each step applies the gains of its node (``estimator.dsie_plan``)
-    with ``apply_wls`` and ``apply_kalman``, skipping the update of a step
-    held under "hold", and goes on to the node its pattern, whether it was
-    held, leads to. The outputs are those of one ``dsie_step`` per row
+    with ``apply_wls``, takes x(k) with ``next_estimate`` (the prediction on
+    a step held under "hold"), and goes on to the node its pattern, whether
+    it was held, leads to; a miss takes that node's covariance from
+    ``next_covariance``. The outputs are those of one ``dsie_step`` per row
     whose settled steps keep their P_x, bit for bit.
     """
     steps = z_x.shape[0] - 1
@@ -263,14 +265,14 @@ def run_dsie(model, z_x, z_u, scenario: Scenario, x0_est, p0) -> MethodRun:
     x = state.x_hat
     node = dsie_plan(model, state.p_x, state.bdd)
     for k, row in enumerate(rows, 1):
-        wls, kalman = node.gains.wls, node.gains.kalman
+        wls = node.gains
         estimate, distance = apply_wls(wls, np.concatenate([x, row]))
         run.mahalanobis[k], run.thresholds[k] = distance, wls.threshold
         run.u_est[k - 1] = estimate[model.n :]
         held = hold and distance >= wls.threshold
-        x, p_next = apply_kalman(kalman, model, estimate, row[model.l :], held)
+        x = next_estimate(model, estimate, row[model.l :], held)
         run.x_est[k] = x
-        node = node.step(held, not held, lambda: (p_next,))[0]
+        node = node.step(held, not held, lambda: (next_covariance(model, wls.cov, held),))[0]
     run.flags[1:] = run.mahalanobis[1:] >= run.thresholds[1:]
     run.u_est[steps] = run.u_est[steps - 1] if steps else 0.0
     return run

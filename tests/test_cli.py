@@ -1,9 +1,13 @@
 """CLI tests: validate/run/compare subcommands, exit codes, output files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dsie
 from dsie.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 from conftest import bundled_network_path, bundled_scenario_path
@@ -241,3 +245,12 @@ class TestCompare:
         baseline = {"dir": "a", "method": "dsie", "mse_state_mean": 2.0}
         expected = json.dumps({"baseline": baseline, "rows": rows}, indent=2, sort_keys=True)
         assert out == expected + "\n"
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """The chi-square threshold needs ``scipy.special`` only; ``scipy.stats``
+    would add about half a second to every ``dsie`` process."""
+    src = os.path.dirname(os.path.dirname(dsie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dsie.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

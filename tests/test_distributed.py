@@ -491,7 +491,7 @@ class TestFinalizePhase:
         central = build_discrete(fixture4, T_S, process_noise_std=0.1)
         rng = np.random.default_rng(31)
         measurements = [
-            (rng.normal(size=area.model.l), rng.normal(size=area.model.p)) for _ in range(30)
+            (rng.normal(size=area.model.l), rng.normal(size=area.model.p)) for _ in range(40)
         ]
         for warm in (False, True):  # a cold table, then the one the first pass filled
             if not warm:
@@ -501,11 +501,11 @@ class TestFinalizePhase:
             for z_u, z_x in measurements:
                 results = run_round([est], {"all": (z_u, z_x)})
                 next_state, ref_joint, _ = dsie_step(ref_state, z_u, z_x)
+                if settled(next_state.p_x, ref_state.p_x):  # the node rule keeps the covariance
+                    next_state = dataclasses.replace(next_state, p_x=ref_state.p_x)
                 np.testing.assert_array_equal(results["all"].state.x_hat, next_state.x_hat)
                 np.testing.assert_array_equal(results["all"].state.p_x, next_state.p_x)
                 np.testing.assert_array_equal(results["all"].joint_fused.u_hat, ref_joint.u_hat)
-                if settled(next_state.p_x, ref_state.p_x):  # the node rule keeps the covariance
-                    next_state = dataclasses.replace(next_state, p_x=ref_state.p_x)
                 ref_state = next_state
             assert on_settled_node(est.node)  # the area settled and keeps its node's gains
 
@@ -929,7 +929,7 @@ class TestExactSymmetry:
     def test_every_covariance_of_a_run_equals_its_transpose(self, monkeypatch, name, changes):
         estimator.gains_table.clear()  # every plan node is built in this run
         seen = {what: [] for what in ("P", "wls", "block", "fused", "p_pred", "p_next")}
-        joint_wls_gains, kalman_gains = estimator.joint_wls_gains, estimator.kalman_gains
+        joint_wls_gains, next_covariance = estimator.joint_wls_gains, estimator.next_covariance
         fusion, check = distributed._fusion_gains, distributed.cross_check
 
         def wls(model, p_x, bdd):
@@ -944,18 +944,18 @@ class TestExactSymmetry:
             seen["fused"].append(gains.cov)
             return gains
 
-        def kalman(model, cov):
-            gains = kalman_gains(model, cov)
-            seen["p_pred"].append(gains.p_pred)
-            seen["p_next"].append(gains.p_next)
-            return gains
+        def propagated(model, cov, held):
+            # both covariances a step can leave, whichever this step takes
+            seen["p_pred"].append(next_covariance(model, cov, True))
+            seen["p_next"].append(next_covariance(model, cov, False))
+            return next_covariance(model, cov, held)
 
         def checked(local, msg, area, kappa=3.0, node=None):
             seen["block"].append(msg.p_shared)
             return check(local, msg, area, kappa, node)
 
         monkeypatch.setattr(estimator, "joint_wls_gains", wls)
-        monkeypatch.setattr(estimator, "kalman_gains", kalman)
+        monkeypatch.setattr(estimator, "next_covariance", propagated)
         monkeypatch.setattr(distributed, "_fusion_gains", fused)
         monkeypatch.setattr(distributed, "cross_check", checked)
         pipeline.run_ddsie(*ddsie_inputs(name, **changes))
@@ -985,9 +985,10 @@ def areas_at_round(name, rounds):
 
 
 class TestNodePathEqualsPublicFunctions:
-    """An area node's gains, taken without symmetrizing, equal those of
-    ``joint_wls_gains``, ``fusion_gains`` and ``kalman_gains`` at the same
-    covariance byte for byte."""
+    """An area node's gains, taken without symmetrizing, and the covariance
+    of the node its step leads to equal those of ``joint_wls_gains``,
+    ``fusion_gains`` and ``next_covariance`` at the same covariance byte
+    for byte."""
 
     @pytest.mark.parametrize(
         "name, aid, masks",
@@ -1019,9 +1020,9 @@ class TestNodePathEqualsPublicFunctions:
             assert block.tobytes() == expected.cov[area.shared_index[nb].block].tobytes()
 
         accepted = [(messages[(aid, nb)], mask) for nb, mask in masks.items()]
-        fused, kalman = distributed._fuse_on_node(est, joint, accepted, False, False)
-        ((_, gains, entry_kalman, _),) = node.memo.values()
-        assert entry_kalman is kalman
+        fused = distributed._fuse_on_node(est, joint, accepted, False, False)
+        ((successor, gains, _),) = node.memo.values()
+        assert successor is est.node
         if accepted:
             idx = np.concatenate(
                 [area.shared_index[msg.sender].stacked[list(mask)] for msg, mask in accepted]
@@ -1038,9 +1039,7 @@ class TestNodePathEqualsPublicFunctions:
         else:
             assert gains is None and fused is joint
             cov = joint.cov
-        public_kalman = estimator.kalman_gains(model, cov)
-        for field in ("ab", "p_pred", "gain", "p_next"):
-            assert getattr(kalman, field).tobytes() == getattr(public_kalman, field).tobytes()
+        assert successor.p.tobytes() == estimator.next_covariance(model, cov, False).tobytes()
 
 
 class TestGivenCovariancesOnlyAreValidated:

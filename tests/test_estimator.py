@@ -1,6 +1,7 @@
 """Estimator cycle tests: joint WLS, bad-data gate, predict/update, baselines."""
 
 import dataclasses
+import math
 import sys
 import threading
 import warnings
@@ -306,6 +307,17 @@ class TestDetectBadData:
         assert cfg.threshold(4) == pytest.approx(np.sqrt(chi2.ppf(0.99, 4)))
         assert BddConfig(zeta=7.5).threshold(4) == 7.5
         assert BddConfig().threshold(0) == np.inf
+
+    def test_threshold_equals_the_scipy_stats_quantile_bit_for_bit(self):
+        # The design levels, and the Sidak levels of 2-8 areas at 0.01
+        # (``pipeline._area_bdd``), at every dof up to 399: 4,389 pairs.
+        levels = [0.001, 0.01, 0.05, 0.1]
+        levels += [-math.expm1(math.log1p(-0.01) / areas) for areas in range(2, 9)]
+        dofs = np.arange(1, 400)
+        for alpha in levels:
+            expected = np.sqrt(chi2.ppf(1.0 - alpha, dofs))
+            got = [estimator._chi2_threshold(alpha, int(dof)) for dof in dofs]
+            np.testing.assert_array_equal(got, expected)
 
     def test_dof_counts_redundancy(self):
         model = small_model()
@@ -1184,10 +1196,8 @@ class TestSharedGains:
 
     def test_entries_are_sized_by_their_arrays(self, monkeypatch):
         model = method_inputs()[0]
-        gains = estimator.dsie_gains(model, np.eye(model.n), BddConfig())
-        wls, kalman = gains.wls, gains.kalman
-        expected = sum(a.nbytes for a in (wls.wls, wls.cov, wls.whiten))
-        expected += sum(a.nbytes for a in (kalman.ab, kalman.p_pred, kalman.gain, kalman.p_next))
+        gains = estimator.joint_wls_gains(model, np.eye(model.n), BddConfig())
+        expected = sum(a.nbytes for a in (gains.wls, gains.cov, gains.whiten))
         table = estimator._GainsTable(10 * expected)
         table.get("k", lambda: gains)
         assert table.nbytes == expected
@@ -1196,7 +1206,7 @@ class TestSharedGains:
         assert table.nbytes == 2 * expected
         assert table.charge("k", gains, 8)
         assert not table.charge("gone", gains, 8)  # no entry: counts nothing
-        assert not table.charge("k", kalman, 8)  # another value: counts nothing
+        assert not table.charge("k", gains.cov, 8)  # another value: counts nothing
         assert not table.charge("k", gains, 9 * expected)  # past the budget: counts nothing
         assert table.nbytes == 2 * expected + 8
 
@@ -1238,7 +1248,7 @@ def ddsie_series(topology, scenario):
     return series
 
 
-def track_ddsie_rounds(monkeypatch, computes=("joint_wls_gains", "kalman_gains")):
+def track_ddsie_rounds(monkeypatch, computes=("joint_wls_gains", "next_covariance")):
     """Make each of ``pipeline.run_ddsie``'s rounds append to the returned
     lists: whether the round was clean, so that every area is on its plan
     after it; how many of ``computes`` were called since the round before;
@@ -1382,14 +1392,14 @@ class TestHoldRule:
         assert any(entry[0] is node for node, _, entry in entries)  # seed 1 settled before it held
 
         events = []
-        apply_kalman = pipeline.apply_kalman
+        next_estimate = pipeline.next_estimate
 
         def step(*args):
             events.append(("held", args[-1]))
-            return apply_kalman(*args)
+            return next_estimate(*args)
 
-        monkeypatch.setattr(pipeline, "apply_kalman", step)
-        for compute_name in ("joint_wls_gains", "kalman_gains"):
+        monkeypatch.setattr(pipeline, "next_estimate", step)
+        for compute_name in ("joint_wls_gains", "next_covariance"):
             compute = getattr(estimator, compute_name)
 
             def counted(*args, _compute=compute):
