@@ -371,8 +371,8 @@ def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
 
 def apply_wls(gains: WlsGains, observations):
     """Estimates and residual distances of one observation, or of each row."""
-    w = observations @ gains.whiten.T
-    return observations @ gains.wls.T, np.sqrt(np.add.reduce(w * w, axis=-1))
+    w = observations.dot(gains.whiten.T)
+    return observations.dot(gains.wls.T), np.sqrt(np.add.reduce(w * w, axis=-1))
 
 
 def _report(distance, threshold: float, dof: int) -> BddReport:
@@ -445,9 +445,9 @@ def next_estimate(model: DiscreteModel, estimate, z_x_now, held: bool):
     the model's map M y + K z_x(k) (``model.FixedRows``), or the prediction
     [A_d B_d] y when the step is held."""
     if held:
-        return model.ab @ estimate
+        return model.ab.dot(estimate)
     fixed = model.fixed_rows
-    return fixed.transition @ estimate + fixed.gain @ z_x_now
+    return fixed.transition.dot(estimate) + fixed.gain.dot(z_x_now)
 
 
 def next_covariance(model: DiscreteModel, cov, held: bool):
@@ -656,9 +656,9 @@ def tse_plan(model: DiscreteModel, p0, q) -> Node:
 def apply_tse(gains: TseGains, y_hat, z):
     """The tracking update of ``y_hat`` with observation ``z``: the next
     estimate and the squared Mahalanobis distance of the innovation."""
-    innovation = z - gains.h @ y_hat
-    w = gains.whiten @ innovation
-    return y_hat + gains.gain @ innovation, w @ w
+    innovation = z - gains.h.dot(y_hat)
+    w = gains.whiten.dot(innovation)
+    return y_hat + gains.gain.dot(innovation), w.dot(w)
 
 
 def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddConfig | None = None):

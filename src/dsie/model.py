@@ -289,6 +289,21 @@ class DiscreteModel:
         )
 
     @functools.cached_property
+    def measurement_std(self) -> tuple[np.ndarray, np.ndarray]:
+        """The standard deviations of z_x and z_u, sqrt(diag(R_x)) and
+        sqrt(diag(R_u)), read-only; built on first use."""
+        stds = tuple(np.sqrt(np.diag(r)) for r in (self.r_x, self.r_u))
+        for std in stds:
+            std.setflags(write=False)
+        return stds
+
+    @functools.cached_property
+    def unit_attacks(self) -> dict:
+        """The unscaled stealthy attacks ``sim.apply_attacks`` has crafted on
+        this model, by (target, rows); filled on use."""
+        return {}
+
+    @functools.cached_property
     def measurement_design(self) -> tuple[np.ndarray, np.ndarray]:
         """(block_diag(C, D), block_diag(R_x, R_u)): the map from (x, u) to the
         stacked (z_x, z_u) and that stack's noise covariance; built on first use."""

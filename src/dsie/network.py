@@ -8,6 +8,7 @@ partition. See the schema constant below and the bundled examples under
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -215,6 +216,14 @@ class NetworkTopology:
     areas: dict[str, AreaSpec] | None = None
     shared_buses: tuple[str, ...] = ()
     name: str = ""
+
+    @functools.cached_property
+    def key(self) -> str:
+        """The topology's ``repr``, built on first use and then kept: an exact
+        key of everything in it (its areas are a dict, so it has no hash). A
+        topology is not changed after it is made; ``dataclasses.replace``
+        makes a new one, with its own key."""
+        return repr(self)
 
     def bus(self, bus_id: str) -> Bus:
         for b in self.buses:

@@ -64,11 +64,24 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class Prepared:
-    """Scenario-resolved model set: nominals, noise levels, matrices.
+    """Everything a run derives from the ``prepare`` key alone.
 
     One is shared, read-only, by every run in the process whose inputs are
-    equal (``prepare``). Its rank report, area models and area indexes are
-    built on first use and then shared as well.
+    equal (``prepare``). It holds:
+
+    - the topology, its continuous model and the discrete model the filters
+      use;
+    - the scenario's input trajectory (``inputs``, ``sim.input_trajectory``)
+      and its first row ``u0``;
+    - the steady state at u0 (``steady``, None when A is singular) and
+      ``x_steady``, that state or zeros, which the estimates start from;
+    - the nominal magnitudes of x and u, the process noise standard
+      deviations and the measurement standard deviation override.
+
+    Its rank report, area models and area indexes are built on first use
+    and then shared as well, and so are, on its discrete model, the
+    measurement standard deviations (``DiscreteModel.measurement_std``)
+    and the unscaled stealthy attacks (``DiscreteModel.unit_attacks``).
     """
 
     topology: NetworkTopology
@@ -77,6 +90,8 @@ class Prepared:
     x_nominal: np.ndarray
     u_nominal: np.ndarray
     process_std: np.ndarray
+    inputs: np.ndarray
+    steady: np.ndarray | None
     x_steady: np.ndarray
     u0: np.ndarray
     measurement_std_override: dict | None
@@ -123,14 +138,13 @@ def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
     ``estimator.gains_table``.
 
     The key is exact and covers everything the models are built from: the
-    topology's ``repr`` (its areas are a dict, so it has no hash), the
-    sampling time, the duration, the inputs at t = 0 (initial inputs and
-    load events) and the noise fractions. The arrays of the result and of
-    its two models are read-only.
+    topology's ``key``, the sampling time, the duration, the inputs
+    (initial inputs and load events) and the noise fractions. The arrays of
+    the result and of its two models are read-only.
     """
     key = (
         "prepared",
-        repr(topology),
+        topology.key,
         scenario.t_s,
         scenario.duration,
         tuple(sorted(scenario.initial_inputs.items())),
@@ -143,11 +157,12 @@ def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
 
 def _prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
     continuous = build_continuous(topology)
-    u0 = input_trajectory(continuous, scenario)[0].copy()
+    inputs = input_trajectory(continuous, scenario)
+    u0 = inputs[0].copy()
     try:
-        x_steady = steady_state(continuous, u0)
+        steady = x_steady = steady_state(continuous, u0)
     except SingularAtSteadyState:
-        x_steady = np.zeros(continuous.n)
+        steady, x_steady = None, np.zeros(continuous.n)
     x_nominal = nominal_magnitudes(x_steady)
     u_nominal = nominal_magnitudes(u0)
     process_std = scenario.process_fraction * x_nominal
@@ -176,6 +191,8 @@ def _prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
         x_nominal=x_nominal,
         u_nominal=u_nominal,
         process_std=process_std,
+        inputs=inputs,
+        steady=steady,
         x_steady=x_steady,
         u0=u0,
         measurement_std_override=override,
@@ -434,6 +451,23 @@ def _state_labels(ids):
     return out
 
 
+_SCALARS = (str, int, float, type(None))
+
+
+def _plain(value):
+    """``value`` as ``dataclasses.asdict`` gives it, for what a ``Scenario``
+    holds: frozen dataclasses, tuples, dicts and scalars, walked directly."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
 def _hash_doc(scenario_doc: dict, network_doc) -> str:
     payload = {"scenario": scenario_doc, "network": network_doc}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
@@ -456,6 +490,8 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
         prepared.continuous,
         scenario,
         process_std=prepared.process_std if scenario.process_fraction > 0 else None,
+        inputs=prepared.inputs,
+        steady=prepared.steady,
     )
     z_x, z_u = generate_measurements(truth, prepared.model, rng_for(scenario.seed, "meas"))
     z_x, z_u = apply_attacks(z_x, z_u, scenario.attacks, prepared.model, truth.times)
@@ -509,7 +545,7 @@ def run_scenario(topology: NetworkTopology, scenario: Scenario, network_doc=None
             entry["crosscheck_rejections"] = run.crosscheck_rejections
         methods_report[method] = entry
 
-    scenario_doc = dataclasses.asdict(scenario)
+    scenario_doc = _plain(scenario)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": scenario_doc,

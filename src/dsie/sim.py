@@ -337,18 +337,25 @@ def simulate_truth(
     scenario: Scenario,
     process_std=None,
     rng: np.random.Generator | None = None,
+    inputs: np.ndarray | None = None,
+    steady: np.ndarray | None = None,
 ) -> TruthTrajectory:
     """Integrate the truth with exact ZOH stepping between load events.
 
     ``process_std`` is a per-state array of per-step noise standard
     deviations (None disables process noise); the RNG defaults to a
-    stream derived from the scenario seed.
+    stream derived from the scenario seed. ``inputs`` is the scenario's
+    ``input_trajectory`` and ``steady`` its ``steady_state`` at u(0), each
+    computed here when not given; a given ``inputs`` becomes the
+    trajectory's ``u`` as it is.
     """
-    u = input_trajectory(continuous, scenario)
+    u = input_trajectory(continuous, scenario) if inputs is None else inputs
     steps = scenario.steps
     a_d, b_d = continuous.discretize(scenario.t_s)
     if scenario.init_state == "zero":
         x0 = np.zeros(continuous.n)
+    elif steady is not None:
+        x0 = steady
     elif scenario.init_state == "steady":
         x0 = steady_state(continuous, u[0])
     else:  # auto: steady state when available, else zeros
@@ -371,9 +378,9 @@ def simulate_truth(
     rows = u[:steps].view(np.uint64)
     starts = [0, *(np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1), steps]
     for start, end in zip(starts[:-1], starts[1:]):
-        bu = b_d @ u[start]
+        bu = b_d.dot(u[start])
         for x_k, x_next, noise_k in zip(x[start:end], x[start + 1 : end + 1], noise[start:end]):
-            np.matmul(a_d, x_k, out=x_next)
+            np.dot(a_d, x_k, out=x_next)
             x_next += bu
             x_next += noise_k
     times = np.arange(steps + 1) * scenario.t_s
@@ -382,8 +389,7 @@ def simulate_truth(
 
 def generate_measurements(truth: TruthTrajectory, model: DiscreteModel, rng: np.random.Generator):
     """z_x = C x + v_x and z_u = D u + v_u with independent Gaussian draws."""
-    std_x = np.sqrt(np.diag(model.r_x)) if model.p else np.zeros(0)
-    std_u = np.sqrt(np.diag(model.r_u)) if model.l else np.zeros(0)
+    std_x, std_u = model.measurement_std
     k = truth.x.shape[0]
     z_x = truth.x @ model.c.T + rng.normal(0.0, 1.0, size=(k, model.p)) * std_x
     z_u = truth.u @ model.d.T + rng.normal(0.0, 1.0, size=(k, model.l)) * std_u
@@ -406,6 +412,12 @@ def craft_stealthy_attack(c, channels, magnitude, strict=False) -> StealthyAttac
     relative projection residual reported (raised when ``strict``).
     The result is scaled so its 2-norm equals ``magnitude``.
     """
+    return _scaled(_unit_attack(c, channels), magnitude, strict)
+
+
+def _unit_attack(c, channels) -> StealthyAttack:
+    """The attack before scaling: the column-space vector C a nearest the
+    unit pattern on the rows ``channels``, with read-only arrays."""
     c = linalg.as_matrix(c, "C")
     rows = np.asarray(sorted(set(int(r) for r in channels)), dtype=int)
     if rows.size == 0 or rows.min() < 0 or rows.max() >= c.shape[0]:
@@ -420,14 +432,23 @@ def craft_stealthy_attack(c, channels, magnitude, strict=False) -> StealthyAttac
             "requested channels carry no component of the measurement column space",
             projection_residual=residual,
         )
+    a.setflags(write=False)
+    coeff.setflags(write=False)
+    return StealthyAttack(vector=a, coefficients=coeff, projection_residual=residual)
+
+
+def _scaled(unit: StealthyAttack, magnitude, strict: bool) -> StealthyAttack:
+    """``unit`` (``_unit_attack``) scaled so its vector's 2-norm is ``magnitude``."""
+    residual = unit.projection_residual
     if strict and residual > 1e-9:
         raise UnreachableSupport(
             f"channels cannot carry a pure column-space vector (residual {residual:.3e})",
             projection_residual=residual,
         )
-    a = a * (float(magnitude) / np.linalg.norm(a))
-    coeff = coeff * (float(magnitude) / np.linalg.norm(c @ coeff))
-    return StealthyAttack(vector=a, coefficients=coeff, projection_residual=residual)
+    scale = float(magnitude) / np.linalg.norm(unit.vector)
+    return StealthyAttack(
+        vector=unit.vector * scale, coefficients=unit.coefficients * scale, projection_residual=residual
+    )
 
 
 def _channel_rows(labels, channels):
@@ -444,7 +465,8 @@ def _channel_rows(labels, channels):
 def apply_attacks(z_x, z_u, specs, model: DiscreteModel, times) -> tuple[np.ndarray, np.ndarray]:
     """Add attack vectors to the designated channels inside their windows.
 
-    Pure function of its inputs: stealthy vectors are crafted from C/D and
+    Pure function of its inputs: stealthy vectors are crafted from C/D
+    (``craft_stealthy_attack``, unscaled once per model and rows) and
     scaled by the root-mean-square of the clean signal on the attacked
     channels, so composition over disjoint windows is additive.
     """
@@ -467,10 +489,11 @@ def apply_attacks(z_x, z_u, specs, model: DiscreteModel, times) -> tuple[np.ndar
                     vec[row] += d_val if labels[row].endswith(":d") else q_val
             stream[mask] += vec
         else:
-            design = model.c if spec.target == "state" else model.d
             clean = stream[mask][:, rows]
             nominal = float(np.sqrt(np.mean(clean**2))) if clean.size else 1.0
             nominal = max(nominal, 1e-12)
-            attack = craft_stealthy_attack(design, rows, spec.magnitude * nominal)
-            stream[mask] += attack.vector
+            key = (spec.target, tuple(rows))
+            if key not in model.unit_attacks:
+                model.unit_attacks[key] = _unit_attack(model.c if spec.target == "state" else model.d, rows)
+            stream[mask] += _scaled(model.unit_attacks[key], spec.magnitude * nominal, False).vector
     return z_x, z_u

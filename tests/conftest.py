@@ -77,6 +77,13 @@ def assert_series_close(actual, expected, rel=1e-12):
     assert np.max(np.abs(np.asarray(actual) - expected)) <= rel * np.max(np.abs(expected))
 
 
+def assert_same_bits(actual, expected):
+    """Equal arrays down to the sign of each zero, which assert_array_equal
+    alone does not see."""
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
 def plan_walk(table):
     """(nodes, entries) of the plans in ``table``: every node reachable from
     a plan's first node through the memos, and every memo entry of those

@@ -39,6 +39,7 @@ from dsie.sim import (
 )
 
 from conftest import (
+    assert_same_bits,
     assert_series_close,
     bundled_network_path,
     bundled_scenario_path,
@@ -1416,3 +1417,63 @@ class TestHoldRule:
         assert not any(held for _, held, _ in entries)
         table.clear()
         assert_same_series(warm, scenario_series(topology, seed2))
+
+
+class TestDataStepsEqualTheirFormulas:
+    """``apply_wls``, ``next_estimate`` and ``apply_tse`` form their
+    products with ``ndarray.dot``; each equals its ``@`` formula bit for bit
+    on the bundled load-change models. The run-versus-step tests cannot see
+    a difference here, since both sides call these functions."""
+
+    ROWS = 200
+
+    @pytest.fixture(params=["fixture4_load_change", "example13_load_change"])
+    def setting(self, request):
+        scenario, model, z_x, z_u, x0, p0 = scenario_streams(request.param)
+        rng = np.random.default_rng(27)
+        scale = np.concatenate([np.abs(x0) + 1.0, np.abs(z_u[0]) + 1.0, np.abs(z_x[0]) + 1.0])
+        rows = rng.normal(size=(self.ROWS, scale.shape[0])) * scale
+        return scenario, model, rows, p0
+
+    def test_apply_wls_on_one_row_and_on_rows(self, setting):
+        scenario, model, rows, p0 = setting
+        bdd = pipeline._bdd(scenario)
+        joint = estimator.dsie_plan(model, p0, bdd).gains
+        for row in rows:
+            estimate, distance = estimator.apply_wls(joint, row)
+            w = row @ joint.whiten.T
+            assert_same_bits(estimate, row @ joint.wls.T)
+            assert_same_bits(distance, np.sqrt(np.add.reduce(w * w, axis=-1)))
+        snapshot = estimator.snapshot_gains(model, bdd)
+        observations = rows[:, model.n :]
+        estimates, distances = estimator.apply_wls(snapshot, observations)
+        w = observations @ snapshot.whiten.T
+        assert_same_bits(estimates, observations @ snapshot.wls.T)
+        assert_same_bits(distances, np.sqrt(np.add.reduce(w * w, axis=-1)))
+
+    @pytest.mark.parametrize("held", [False, True], ids=["unheld", "held"])
+    def test_next_estimate(self, setting, held):
+        _, model, rows, _ = setting
+        fixed = model.fixed_rows
+        y_size = model.n + model.m
+        for row in rows:
+            estimate, z_x = row[:y_size], row[-model.p :]
+            expected = model.ab @ estimate if held else fixed.transition @ estimate + fixed.gain @ z_x
+            assert_same_bits(estimator.next_estimate(model, estimate, z_x, held), expected)
+
+    def test_apply_tse(self, setting):
+        scenario, model, rows, _ = setting
+        y_size = model.n + model.m
+        nominal = np.abs(rows[0, :y_size]) + 1.0
+        q = np.diag((scenario.tse_q_fraction * nominal) ** 2)
+        dense = random_spd(np.random.default_rng(28), y_size) * np.outer(nominal, nominal)
+        dense = 0.5 * (dense + dense.T)
+        for p in (np.diag(scenario.p0_scale * nominal**2), dense):  # sparse and dense gains
+            gains = estimator.tse_gains(*model.measurement_design, p, q)
+            for row in rows:
+                y_hat, z = row[:y_size], row[-(model.p + model.l) :]
+                innovation = z - gains.h @ y_hat
+                w = gains.whiten @ innovation
+                y_next, squared = estimator.apply_tse(gains, y_hat, z)
+                assert_same_bits(y_next, y_hat + gains.gain @ innovation)
+                assert_same_bits(squared, w @ w)

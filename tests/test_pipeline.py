@@ -1,15 +1,17 @@
 """Run outputs: the long-format CSV writer and what it writes for a real run."""
 
 import csv
-from dataclasses import fields, replace
+import hashlib
+import json
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dsie import estimator, linalg, model, pipeline
+from dsie import estimator, linalg, model, pipeline, sim
 from dsie.metrics import false_alarm_rate
-from dsie.network import load_network
+from dsie.network import NetworkTopology, load_network
 from dsie.pipeline import _write_long_csv, run_scenario, write_outputs
 from dsie.sim import LoadEvent, load_scenario
 
@@ -415,3 +417,92 @@ class TestSharedModel:
                 assert warm[key] == series, key
             else:
                 np.testing.assert_array_equal(warm[key], series, err_msg=str(key))
+
+
+class TestPerModelWorkDoneOnce:
+    """A run derives its input trajectory, steady start, stealthy attack
+    vectors and model key from the ``prepare`` key alone, so a warm run
+    computes none of them again."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(("input_trajectory", "steady_state", "lstsq", "repr"), 0)
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("input_trajectory", "steady_state"):
+            wrapper = counting(name, getattr(sim, name))
+            monkeypatch.setattr(sim, name, wrapper)
+            monkeypatch.setattr(pipeline, name, wrapper)
+        monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(NetworkTopology, "__repr__", counting("repr", NetworkTopology.__repr__))
+        return counts
+
+    @pytest.mark.parametrize("name", ["fixture4_attack", "example13_load_change"])
+    def test_a_second_seed_does_no_per_model_work(self, counts, name):
+        topology, scenario = bundled(name, estimators=METHODS, seed=1)
+        estimator.gains_table.clear()
+        run_scenario(topology, scenario)
+        assert counts["input_trajectory"] == counts["steady_state"] == counts["repr"] == 1
+        assert counts["lstsq"] == (1 if scenario.attacks else 0)
+        counts.update(dict.fromkeys(counts, 0))
+        run_scenario(topology, replace(scenario, seed=2))
+        assert counts == dict.fromkeys(counts, 0)
+
+    def test_a_replaced_topology_or_a_new_duration_gets_its_own_model(self, counts):
+        topology, scenario = bundled("fixture4_load_change", seed=1)
+        estimator.gains_table.clear()
+        base = pipeline.prepare(topology, scenario)
+        counts.update(dict.fromkeys(counts, 0))
+        nudged = nudged_line(topology)
+        assert pipeline.prepare(nudged, scenario) is not base
+        assert counts["repr"] == 1
+        assert nudged.key != topology.key
+        longer = replace(scenario, duration=2 * scenario.duration)
+        prepared = pipeline.prepare(topology, longer)
+        assert prepared is not base
+        assert prepared.inputs.shape[0] == longer.steps + 1 == 2 * scenario.steps + 1
+        assert counts["input_trajectory"] == 2  # one per new model
+
+    @pytest.mark.parametrize("name", ["fixture4_attack", "example13_load_change"])
+    def test_a_run_steps_the_truth_it_would_compute_alone(self, name):
+        topology, scenario = bundled(name, seed=4)
+        prepared = pipeline.prepare(topology, scenario)
+        truth = run_scenario(topology, scenario)["series"]["truth"]
+        alone = sim.simulate_truth(prepared.continuous, scenario, process_std=prepared.process_std)
+        np.testing.assert_array_equal(truth.u, alone.u)
+        np.testing.assert_array_equal(truth.x, alone.x)
+        assert truth.u is prepared.inputs and not truth.u.flags.writeable
+
+
+class TestReportScenario:
+    """The report's scenario document is ``dataclasses.asdict`` of the
+    scenario, and its hash is that of the document with the network file's;
+    ``dsie compare`` groups runs by this hash."""
+
+    @pytest.mark.parametrize("name", ["fixture4_load_change", "fixture4_attack", "example13_load_change"])
+    def test_scenario_and_hash(self, name):
+        topology, scenario = bundled(name, seed=2, estimators=("wls",))
+        with open(bundled_network_path(scenario.network)) as f:
+            network_doc = json.load(f)
+        report = run_scenario(topology, scenario, network_doc)["report"]
+        expected = asdict(scenario)
+        assert scenario.load_events or scenario.attacks
+        assert report["scenario"] == expected
+        assert json.dumps(report["scenario"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+        payload = {"scenario": expected, "network": network_doc}
+        blob = json.dumps(payload, sort_keys=True, default=str).encode()
+        assert report["scenario_hash"] == hashlib.sha256(blob).hexdigest()
+
+    def test_the_document_holds_no_object_of_the_scenario(self):
+        _, scenario = bundled("fixture4_attack")
+        scenario = replace(scenario, initial_inputs={k: list(v) for k, v in scenario.initial_inputs.items()})
+        doc = pipeline._plain(scenario)
+        assert doc == asdict(scenario)
+        assert doc["initial_inputs"] is not scenario.initial_inputs
+        assert all(doc["initial_inputs"][k] is not v for k, v in scenario.initial_inputs.items())

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dsie import linalg, pipeline
+from dsie import linalg, pipeline, sim
 from dsie.errors import InputFileError, SingularAtSteadyState, UnreachableSupport, WindowOutOfRange
 from dsie.metrics import false_alarm_rate
 from dsie.model import build_continuous, build_discrete
@@ -26,7 +26,13 @@ from dsie.sim import (
     steady_state,
 )
 
-from conftest import bundled_network_path, bundled_scenario_path, make_cap_bus_topology, make_line_topology
+from conftest import (
+    assert_same_bits,
+    bundled_network_path,
+    bundled_scenario_path,
+    make_cap_bus_topology,
+    make_line_topology,
+)
 
 BASE_DOC = {
     "network": "fixture4",
@@ -265,13 +271,6 @@ def reference_truth(continuous, scenario, process_std=None):
     return x, u
 
 
-def assert_same_bits(actual, expected):
-    """Equal arrays down to the sign of each zero, which assert_array_equal
-    alone does not see."""
-    np.testing.assert_array_equal(actual, expected)
-    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
-
-
 class TestTruthMatchesPerStepReference:
     """``simulate_truth`` fills inputs per event and forms B_d u once per
     segment of equal input rows; its truth equals the per-step loop's bit
@@ -489,3 +488,91 @@ class TestApplyAttacks:
         assert len(rows_d) == 2
         assert delta[rows_d[0]] == pytest.approx(delta[rows_d[1]], rel=1e-12)
         assert abs(delta[rows_d[0]]) > 0.0
+
+
+def reference_craft(c, rows, magnitude):
+    """(vector, coefficients, residual) of the stealthy attack on ``rows``,
+    from one least-squares solve and nothing kept."""
+    target = np.zeros(c.shape[0])
+    target[sorted(set(rows))] = 1.0
+    coeff = np.linalg.lstsq(c, target, rcond=None)[0]
+    a = c @ coeff
+    residual = float(np.linalg.norm(target - a) / np.linalg.norm(target))
+    a = a * (float(magnitude) / np.linalg.norm(a))
+    coeff = coeff * (float(magnitude) / np.linalg.norm(c @ coeff))
+    return a, coeff, residual
+
+
+def reference_apply_attacks(z_x, z_u, specs, model, times):
+    """The stealthy branch of ``apply_attacks`` with a fresh
+    ``reference_craft`` per spec, nothing kept between calls."""
+    z_x, z_u = np.array(z_x, dtype=float), np.array(z_u, dtype=float)
+    for spec in specs:
+        mask = (times >= spec.start - 1e-12) & (times < spec.end - 1e-12)
+        stream = z_x if spec.target == "state" else z_u
+        labels = model.z_x_labels if spec.target == "state" else model.z_u_labels
+        rows = [i for ch in spec.channels for i, lab in enumerate(labels) if lab in (f"{ch}:d", f"{ch}:q")]
+        clean = stream[mask][:, rows]
+        nominal = max(float(np.sqrt(np.mean(clean**2))) if clean.size else 1.0, 1e-12)
+        design = model.c if spec.target == "state" else model.d
+        stream[mask] += reference_craft(design, rows, spec.magnitude * nominal)[0]
+    return z_x, z_u
+
+
+class TestStealthyAttackKeptPerModel:
+    """``apply_attacks`` crafts each stealthy attack's unscaled vector once
+    per model and rows and only scales it in later calls; every call, and
+    ``craft_stealthy_attack``, equals a fresh solve bit for bit."""
+
+    @pytest.fixture
+    def streams(self, fixture4):
+        scenario = dataclasses.replace(load_scenario(bundled_scenario_path("fixture4_attack")), seed=5)
+        prepared = pipeline.prepare(fixture4, scenario)
+        truth = simulate_truth(prepared.continuous, scenario, process_std=prepared.process_std)
+        model = build_discrete(fixture4, scenario.t_s, measurement_std_override=prepared.measurement_std_override)
+        z_x, z_u = generate_measurements(truth, model, rng_for(scenario.seed, "meas"))
+        return model, z_x, z_u, truth.times
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [AttackSpec(0.15, 0.25, "state", "stealthy", ("v_b2", "i_b2_b3"), magnitude=0.1)],
+            [AttackSpec(0.05, 0.1, "input", "stealthy", ("i_load_b2", "v_t_b1"), magnitude=0.3)],
+            [
+                AttackSpec(0.02, 0.04, "state", "stealthy", ("v_b1",), magnitude=0.2),
+                AttackSpec(0.2, 0.28, "state", "stealthy", ("v_b1",), magnitude=0.05),
+            ],
+            [AttackSpec(0.0204, 0.0208, "state", "stealthy", ("i_t_b1", "v_b4"), magnitude=0.1)],
+        ],
+        ids=["state", "input", "two-disjoint-windows", "no-clean-rows"],
+    )
+    def test_every_call_equals_a_fresh_craft(self, streams, specs, monkeypatch):
+        model, z_x, z_u, times = streams
+        expected = reference_apply_attacks(z_x, z_u, specs, model, times)
+        first = apply_attacks(z_x, z_u, specs, model, times)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        scaled = apply_attacks(z_x * 1.5, z_u * 1.5, specs, model, times)
+        again = apply_attacks(z_x, z_u, specs, model, times)
+        assert not calls
+        for actual in (first, again):
+            assert_same_bits(actual[0], expected[0])
+            assert_same_bits(actual[1], expected[1])
+        assert_same_bits(scaled[0], reference_apply_attacks(z_x * 1.5, z_u * 1.5, specs, model, times)[0])
+        if specs[0].start == 0.0204:
+            window = (times >= 0.0204 - 1e-12) & (times < 0.0208 - 1e-12)
+            assert not window.any()
+            assert_same_bits(first[0], z_x)
+
+    @pytest.mark.parametrize("target, rows", [("state", (10, 11, 16, 17, 4, 5)), ("input", (2, 3))])
+    def test_kept_and_crafted_attacks_equal_a_fresh_solve(self, streams, target, rows):
+        model = streams[0]
+        design = model.c if target == "state" else model.d
+        for magnitude in (0.1, 3.7, 1e-300, 480.0):
+            vector, coefficients, residual = reference_craft(design, rows, magnitude)
+            kept = sim._scaled(sim._unit_attack(design, rows), magnitude, False)
+            for attack in (kept, craft_stealthy_attack(design, rows, magnitude)):
+                assert_same_bits(attack.vector, vector)
+                assert_same_bits(attack.coefficients, coefficients)
+                assert attack.projection_residual == residual
