@@ -13,11 +13,13 @@ only. The cycle is written once, as two halves that ``dsie_step`` and each
 area of ``distributed.run_round`` call: WLS gains at P_x
 (``joint_wls_gains``), then ``finish_cycle``. The rows of the joint design
 whose weight does not depend on P_x are whitened and QR-factored once per
-model, so a gains call factors only P_x and a small stack on top of them.
-The bad-data distance is the weighted residual sum of squares r' W^{-1} r
-(the J(x) test with rows - unknowns degrees of freedom), taken from the
-same QR. The snapshot-WLS and tracking (random-walk) baselines live here as
-well: both read the model's stacked measurement map.
+model, so a gains call factors only P_x and a small stack on top of them
+(``prior_rows_gains``). The bad-data distance is the weighted residual sum
+of squares r' W^{-1} r (the J(x) test with rows - unknowns degrees of
+freedom), taken from the same QR. The snapshot-WLS and tracking
+(random-walk) baselines live here as well, and take their gains from the
+same step over the model's factored measurement rows: the tracking step is
+the WLS estimate of (x, u) from its prior and the measurements.
 
 A step's data work is written apart from its covariance work: ``apply_wls``,
 ``next_estimate`` and ``apply_tse``. ``dsie_step`` and ``tse_step`` are the
@@ -349,7 +351,7 @@ class _GainsTable:
 gains_table = _GainsTable(_GAINS_BUDGET)
 
 
-def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
+def _finish(q, rinv, linv, qt_linv, bdd: BddConfig | None) -> WlsGains:
     """WLS gains from the whitened QR L^{-1} H = Q R, where W = L L' is
     the weight and ``qt_linv`` = Q' L^{-1}.
 
@@ -357,7 +359,8 @@ def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
     The residual screen is the weighted residual sum of squares r' W^{-1} r
     with rows - unknowns degrees of freedom, |(L^{-1} - Q Q' L^{-1}) z|^2;
     with no redundancy the whitener is zero. The covariance comes out
-    exactly symmetric.
+    exactly symmetric. Without ``bdd`` the threshold is NaN: the caller
+    tests at its own.
     """
     dof = q.shape[0] - q.shape[1]
     return WlsGains(
@@ -365,7 +368,7 @@ def _finish(q, rinv, linv, qt_linv, bdd: BddConfig) -> WlsGains:
         cov=rinv @ rinv.T,  # numpy forms A A' symmetric (syrk)
         whiten=linv - q @ qt_linv if dof else np.zeros(linv.shape),
         dof=dof,
-        threshold=bdd.threshold(dof),
+        threshold=math.nan if bdd is None else bdd.threshold(dof),
     )
 
 
@@ -393,51 +396,62 @@ def detect_bad_data(joint: JointEstimate, observation, design, weight, config: B
     return _report(np.sqrt(w @ w), config.threshold(dof), dof)
 
 
-def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
-    """WLS gains over the joint design [[I,0],[0,D],[C A_d, C B_d]] with
-    weight diag(P_x, R_u, C Q C' + R_x).
+def prior_rows_gains(rows: linalg.FactoredRows, p, bdd: BddConfig | None) -> WlsGains:
+    """WLS gains over the prior rows [I, 0] on the first k = P.shape[0]
+    unknowns, with weight P, stacked on the factored ``rows``.
 
-    The rows under R_u and C Q C' + R_x are whitened and QR-factored once
-    per model (``DiscreteModel.fixed_rows``: L_f^{-1} F = Q_0 R_0), so a
-    call factors only P_x = L_p L_p' and the (n + k) x (n + m) stack
-    [[L_p^{-1}, 0], [R_0]] = Q~ R; the whitened design's Q is
-    [Q~_top; Q_0 Q~_bottom]. A P_x that has lost definiteness gets its
+    The observation is the prior estimate of those k unknowns followed by
+    the rows' own. A call factors only P = L_p L_p' and the stack
+    [[L_p^{-1}, 0], [R_0]] = Q~ R, for the rows' L_r^{-1} H = Q_0 R_0; the
+    whitened design's Q is [Q~_top; Q_0 Q~_bottom]. With k = 0 the rows'
+    own QR is the whole one. A P that has lost definiteness gets its
     eigenvalues floored at _P_FLOOR * max(trace, 1) before the one retry.
-    P_x must be exactly symmetric, as every covariance of the cycle is: the
+    P must be exactly symmetric, as every covariance of the package is: the
     factorization reads its lower triangle.
     """
-    n, rows, unknowns = model.n, model.n + model.l + model.p, model.n + model.m
+    k, unknowns = p.shape[0], rows.r0.shape[1]
+    total = k + rows.whiten.shape[0]
+    if total < unknowns:
+        raise RankDeficient(f"underdetermined system: {total} rows < {unknowns} unknowns", rank=total)
+    if not k:
+        return _finish(rows.q0, linalg.full_rank_inverse(rows.r0, total), rows.whiten, rows.c0, bdd)
     try:
-        if rows < unknowns:
-            raise RankDeficient(f"underdetermined system: {rows} rows < {unknowns} unknowns", rank=rows)
-        fixed = model.fixed_rows
-        try:
-            l_p = linalg.cholesky(p_x, "P_x")
-        except NotPositiveDefinite:
-            p = linalg.clamp_eigenvalues(p_x, _P_FLOOR * max(np.trace(p_x), 1.0))
-            l_p = linalg.cholesky(p, "P_x")
-        p_inv = linalg.triangular_inverse(l_p, lower=True)
-        stack = np.zeros((n + fixed.r0.shape[0], unknowns))
-        stack[:n, :n] = p_inv
-        stack[n:] = fixed.r0
-        q_stack, r = linalg.qr(stack)
-        rinv = linalg.full_rank_inverse(r, rows)
+        l_p = linalg.cholesky(p, "prior covariance")
+    except NotPositiveDefinite:
+        p = linalg.clamp_eigenvalues(p, _P_FLOOR * max(np.trace(p), 1.0))
+        l_p = linalg.cholesky(p, "prior covariance")
+    p_inv = linalg.triangular_inverse(l_p, lower=True)
+    stack = np.zeros((k + rows.r0.shape[0], unknowns))
+    stack[:k, :k] = p_inv
+    stack[k:] = rows.r0
+    q_stack, r = linalg.qr(stack)
+    rinv = linalg.full_rank_inverse(r, total)
+    q = np.empty((total, unknowns))
+    q[:k] = q_stack[:k]
+    q[k:] = rows.q0 @ q_stack[k:]
+    qt_linv = np.empty((unknowns, total))
+    qt_linv[:, :k] = q_stack[:k].T @ p_inv
+    qt_linv[:, k:] = q_stack[k:].T @ rows.c0
+    linv = np.zeros((total, total))
+    linv[:k, :k] = p_inv
+    linv[k:, k:] = rows.whiten
+    return _finish(q, rinv, linv, qt_linv, bdd)
+
+
+def joint_wls_gains(model: DiscreteModel, p_x, bdd: BddConfig) -> WlsGains:
+    """WLS gains over the joint design [[I,0],[0,D],[C A_d, C B_d]] with
+    weight diag(P_x, R_u, C Q C' + R_x): the prior rows at P_x on the
+    model's fixed rows (``prior_rows_gains``, ``DiscreteModel.fixed_rows``),
+    which are factored once per model.
+    """
+    try:
+        return prior_rows_gains(model.fixed_rows, p_x, bdd)
     except RankDeficient as exc:
         raise RankDeficient(
             "joint design rank deficient; unobservable inputs: "
             f"{check_joint_rank(model).unobservable_inputs}",
             rank=exc.rank,
         ) from exc
-    q = np.empty((rows, unknowns))
-    q[:n] = q_stack[:n]
-    q[n:] = fixed.q0 @ q_stack[n:]
-    qt_linv = np.empty((unknowns, rows))
-    qt_linv[:, :n] = q_stack[:n].T @ p_inv
-    qt_linv[:, n:] = q_stack[n:].T @ fixed.c0
-    linv = np.zeros((rows, rows))
-    linv[:n, :n] = p_inv
-    linv[n:, n:] = fixed.whiten
-    return _finish(q, rinv, linv, qt_linv, bdd)
 
 
 def next_estimate(model: DiscreteModel, estimate, z_x_now, held: bool):
@@ -530,10 +544,14 @@ def predict(joint: JointEstimate, model: DiscreteModel):
 
 
 def update(x_pred, p_pred, z_x_now, model: DiscreteModel):
-    """Standard Kalman measurement update; returns (x_hat, p_x)."""
+    """Measurement update of the prediction x_pred ~ P_pred by z_x = C x ~ R_x,
+    as the WLS estimate from both (``prior_rows_gains``); returns
+    (x_hat, p_x). With no measurement rows both are returned unchanged."""
     x_pred = linalg.as_vector(x_pred, "x_pred")
-    gain, p_x, _ = linalg.kalman_update(p_pred, model.c, model.r_x)
-    return x_pred + gain @ (z_x_now - model.c @ x_pred), p_x
+    if not model.p:
+        return x_pred, p_pred
+    gains = prior_rows_gains(linalg.factor_rows(model.c, model.r_x, "R_x"), p_pred, None)
+    return gains.wls @ np.concatenate([x_pred, z_x_now]), gains.cov
 
 
 def finish_cycle(state: FilterState, joint: JointEstimate, z_x_now, held: bool, p_x) -> FilterState:
@@ -577,16 +595,15 @@ class SnapshotResult:
     bdd: BddReport
 
 
+def measurement_gains(model: DiscreteModel, bdd: BddConfig) -> WlsGains:
+    """Gains of static single-time WLS over stacked (z_x, z_u): those of the
+    model's measurement rows alone (``prior_rows_gains`` with no prior)."""
+    return prior_rows_gains(model.measurement_rows, np.zeros((0, 0)), bdd)
+
+
 def snapshot_gains(model: DiscreteModel, bdd: BddConfig) -> WlsGains:
-    """Gains of static single-time WLS over stacked (z_x, z_u), shared
-    through ``gains_table``."""
-
-    def compute():
-        l, q, rinv, _ = linalg.whitened_qr(*model.measurement_design)
-        linv = linalg.triangular_inverse(l, lower=True)
-        return _finish(q, rinv, linv, q.T @ linv, bdd)
-
-    return gains_table.get((model.content, bdd), compute)
+    """``measurement_gains``, shared through ``gains_table``."""
+    return gains_table.get((model.content, bdd), lambda: measurement_gains(model, bdd))
 
 
 def wls_snapshot(z_x, z_u, model: DiscreteModel, bdd: BddConfig | None = None) -> SnapshotResult:
@@ -605,60 +622,36 @@ class TseState:
     p: np.ndarray
     step: int = 0
 
-    def x_part(self, model):
-        return self.y_hat[: model.n]
-
-    def u_part(self, model):
-        return self.y_hat[model.n :]
-
 
 def initial_tse_state(model: DiscreteModel, x0, u0, p0) -> TseState:
     y0 = np.concatenate([linalg.as_vector(x0, "x0"), linalg.as_vector(u0, "u0")])
     return TseState(y_hat=y0, p=linalg.symmetrize_psd(linalg.as_covariance(p0, model.n + model.m)))
 
 
-@dataclass(slots=True)
-class TseGains:
-    """One tracking step's matrices at one P: with the innovation
-    v = z - h y the update is y + gain v with covariance ``p_next``, and
-    |whiten v| is the innovation's Mahalanobis distance."""
-
-    h: np.ndarray
-    gain: np.ndarray
-    whiten: np.ndarray
-    p_next: np.ndarray
-
-
-def tse_gains(h, r, p, q) -> TseGains:
-    """Tracking-step gains for measurement map ``h`` with noise ``r``, from
-    the symmetric P and Q.
-
-    The step is the measurement update (``linalg.kalman_update``) of the
-    random-walk prediction P + Q; the innovation whitener is L^{-1} for the
-    returned factor L of the innovation covariance S = L L'.
-    """
-    gain, p_next, factor = linalg.kalman_update(p + q, h, r, "tracking innovation covariance")
-    whiten = sla.solve_triangular(factor, np.eye(factor.shape[0]), lower=True)
-    return TseGains(h=h, gain=gain, whiten=whiten, p_next=p_next)
+def tse_gains(model: DiscreteModel, p, q) -> WlsGains:
+    """Tracking-step gains at the symmetric P and Q: the WLS estimate of
+    y(k) = (x, u) from the prior y(k-1) ~ P + Q and the model's measurement
+    rows (``prior_rows_gains``). Its weighted residual is the innovation's
+    Mahalanobis distance, with p + l degrees of freedom, and its covariance
+    the next P; its threshold is NaN, as the caller tests at its own."""
+    return prior_rows_gains(model.measurement_rows, p + q, None)
 
 
 def tse_plan(model: DiscreteModel, p0, q) -> Node:
     """The first node of the tracking filter from P0 with random-walk
-    covariance Q (``plan``); its nodes hold ``tse_gains`` of the model's
-    stacked measurement map, and every step has the same pattern."""
-    design = model.measurement_design
-    return plan(
-        model, p0, ("tse", q.shape, q.tobytes()),
-        lambda p: tse_gains(*design, p, linalg.symmetrize_psd(q)),
-    )
+    covariance Q (``plan``); its nodes hold ``tse_gains``, and every step
+    has the same pattern. Q is validated once, when the first gains need
+    it, so a run that walks a stored plan does not validate it."""
+    checked = functools.cache(lambda: linalg.symmetrize_psd(q))
+    return plan(model, p0, ("tse", q.shape, q.tobytes()), lambda p: tse_gains(model, p, checked()))
 
 
-def apply_tse(gains: TseGains, y_hat, z):
+def apply_tse(gains: WlsGains, y_hat, z):
     """The tracking update of ``y_hat`` with observation ``z``: the next
     estimate and the squared Mahalanobis distance of the innovation."""
-    innovation = z - gains.h.dot(y_hat)
-    w = gains.whiten.dot(innovation)
-    return y_hat + gains.gain.dot(innovation), w.dot(w)
+    observation = np.concatenate([y_hat, z])
+    w = gains.whiten.dot(observation)
+    return gains.wls.dot(observation), w.dot(w)
 
 
 def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddConfig | None = None):
@@ -671,9 +664,8 @@ def tse_step(state: TseState, z_x, z_u, model: DiscreteModel, q_tse, bdd: BddCon
     """
     bdd = bdd or BddConfig()
     q = linalg.symmetrize_psd(linalg.as_covariance(q_tse, model.n + model.m))
-    gains = tse_gains(*model.measurement_design, state.p, q)
+    gains = tse_gains(model, state.p, q)
     z = np.concatenate([linalg.as_vector(z_x, "z_x"), linalg.as_vector(z_u, "z_u")])
     y_hat, squared = apply_tse(gains, state.y_hat, z)
-    dof = gains.h.shape[0]
-    report = _report(np.sqrt(squared), bdd.threshold(dof), dof)
-    return TseState(y_hat=y_hat, p=gains.p_next, step=state.step + 1), report
+    report = _report(np.sqrt(squared), bdd.threshold(gains.dof), gains.dof)
+    return TseState(y_hat=y_hat, p=gains.cov, step=state.step + 1), report

@@ -165,32 +165,6 @@ def qr(a):
     return np.ascontiguousarray(q), r
 
 
-@functools.lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """A read-only n x n identity, built once per size."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
-def kalman_update(p, h, r, name="innovation covariance"):
-    """Measurement update of the covariance ``p`` by rows ``h`` with noise ``r``.
-
-    Returns (K, P+, L): the gain K = P H' S^{-1} for S = H P H' + R = L L',
-    and P+ = (I - K H) P symmetrized. An ``h`` with no rows gives a zero gain
-    and ``p`` itself. Raises NotPositiveDefinite, naming ``name``, when S
-    does not factor.
-    """
-    if h.shape[0] == 0:
-        return np.zeros((p.shape[0], 0)), p, np.zeros((0, 0))
-    hp = h @ p
-    s = hp @ h.T + r
-    factor = cholesky(0.5 * (s + s.T), name)
-    gain = cho_solve(factor, hp).T
-    p_next = (_identity(p.shape[0]) - gain @ h) @ p
-    return gain, 0.5 * (p_next + p_next.T), factor
-
-
 def full_rank_inverse(rf, rows: int):
     """R^{-1} of the triangular QR factor ``rf`` of a ``rows``-row matrix.
 
@@ -209,37 +183,48 @@ def full_rank_inverse(rf, rows: int):
     )
 
 
-def whitened_qr(h, r):
-    """Whiten H by the Cholesky factor L of R and QR-factor it.
+@dataclass(frozen=True)
+class FactoredRows:
+    """Rows H of a least-squares problem with weight W = L L', whitened and
+    QR-factored: ``whiten`` is L^{-1}, L^{-1} H = ``q0`` @ ``r0`` (reduced
+    QR) and ``c0`` = q0' L^{-1}."""
 
-    Returns (L, Q, R_qr^{-1}, covariance), where covariance = (H'R^{-1}H)^{-1}.
-    """
-    q, p = h.shape
-    if r.shape != (q, q):
-        raise DimensionMismatch(f"R must be {q}x{q}, got {r.shape}")
-    if q < p:
-        raise RankDeficient(f"underdetermined system: {q} rows < {p} unknowns", rank=q)
-    l = cholesky(r, "R")
-    qf, rf = qr(sla.solve_triangular(l, h, lower=True))
-    rinv = full_rank_inverse(rf, q)
-    return l, qf, rinv, rinv @ rinv.T  # numpy forms A A' symmetric (syrk)
+    whiten: np.ndarray
+    q0: np.ndarray
+    r0: np.ndarray
+    c0: np.ndarray
+
+
+def factor_rows(h, w, name="weight") -> FactoredRows:
+    """Whiten the rows ``h`` by the inverse Cholesky factor of their weight
+    ``w`` and QR-factor them (``FactoredRows``)."""
+    whiten = triangular_inverse(cholesky(w, name), lower=True)
+    q0, r0 = qr(whiten @ h)
+    return FactoredRows(whiten, q0, r0, q0.T @ whiten)
 
 
 def wls_solve(h, r, z) -> WlsResult:
     """Solve min_x (z - Hx)' R^{-1} (z - Hx) for x and its covariance.
 
-    Internally whitens by the Cholesky factor of R and solves the stacked
-    system by QR, which is better conditioned than forming the normal
-    equations. The result still satisfies
+    Whitens H by the inverse Cholesky factor of R and solves the whitened
+    system by QR (``factor_rows``), which is better conditioned than forming
+    the normal equations. The result still satisfies
     estimate = (H'R^{-1}H)^{-1} H'R^{-1} z and covariance = (H'R^{-1}H)^{-1}.
     """
     h = as_matrix(h, "H")
     z = as_vector(z, "z")
-    if z.shape[0] != h.shape[0]:
-        raise DimensionMismatch(f"z must have length {h.shape[0]}, got {z.shape[0]}")
-    l, qf, rinv, covariance = whitened_qr(h, as_matrix(r, "R"))
-    estimate = rinv @ (qf.T @ sla.solve_triangular(l, z, lower=True))
-    return WlsResult(estimate=estimate, covariance=covariance)
+    r = as_matrix(r, "R")
+    q, p = h.shape
+    if z.shape[0] != q:
+        raise DimensionMismatch(f"z must have length {q}, got {z.shape[0]}")
+    if r.shape != (q, q):
+        raise DimensionMismatch(f"R must be {q}x{q}, got {r.shape}")
+    if q < p:
+        raise RankDeficient(f"underdetermined system: {q} rows < {p} unknowns", rank=q)
+    rows = factor_rows(h, r, "R")
+    rinv = full_rank_inverse(rows.r0, q)
+    # numpy forms A A' symmetric (syrk)
+    return WlsResult(estimate=rinv @ (rows.c0 @ z), covariance=rinv @ rinv.T)
 
 
 def mahalanobis(r, s) -> float:

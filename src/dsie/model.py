@@ -304,10 +304,15 @@ class DiscreteModel:
         return {}
 
     @functools.cached_property
-    def measurement_design(self) -> tuple[np.ndarray, np.ndarray]:
-        """(block_diag(C, D), block_diag(R_x, R_u)): the map from (x, u) to the
-        stacked (z_x, z_u) and that stack's noise covariance; built on first use."""
-        return sla.block_diag(self.c, self.d), sla.block_diag(self.r_x, self.r_u)
+    def measurement_rows(self) -> linalg.FactoredRows:
+        """The stacked measurement rows block_diag(C, D), the map from (x, u) to
+        the stacked (z_x, z_u), whitened by their noise block_diag(R_x, R_u)
+        and QR-factored (``linalg.factor_rows``); built on first use."""
+        return linalg.factor_rows(
+            sla.block_diag(self.c, self.d),
+            sla.block_diag(self.r_x, self.r_u),
+            "measurement noise block_diag(R_x, R_u)",
+        )
 
 
 def _noise_diag(spec, ids, size, what):
@@ -377,24 +382,19 @@ def stacked_design(model: DiscreteModel) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FixedRows:
+class FixedRows(linalg.FactoredRows):
     """The rows of the joint design whose weight does not depend on P_x,
-    and the next-state map.
+    factored (``linalg.FactoredRows``), and the next-state map.
 
-    With W_f = diag(R_u, S) = L_f L_f' for S = C Q C' + R_x, ``whiten`` is
-    L_f^{-1}, the whitened rows L_f^{-1} [[0, D], [C A_d, C B_d]] are
-    ``q0 @ r0`` (reduced QR), and ``c0`` = q0' L_f^{-1}. With W_S the S
-    block of ``whiten`` and G = W_S C Q, x(k) given the estimate y of
-    (x(k-1), u(k-1)) and z_x(k) is M y + K z_x(k) with covariance
-    M P_y M' + Q_+, for K = ``gain`` = G' W_S = Q C' S^{-1},
-    M = ``transition`` = [A_d B_d] - K C [A_d B_d] and Q_+ = ``q_plus`` =
-    Q - G'G. A zero row of Q gives zero rows of K and Q_+.
+    The rows are [[0, D], [C A_d, C B_d]] with weight W_f = diag(R_u, S)
+    for S = C Q C' + R_x. With W_S the S block of ``whiten`` and
+    G = W_S C Q, x(k) given the estimate y of (x(k-1), u(k-1)) and z_x(k)
+    is M y + K z_x(k) with covariance M P_y M' + Q_+, for K = ``gain`` =
+    G' W_S = Q C' S^{-1}, M = ``transition`` = [A_d B_d] - K C [A_d B_d]
+    and Q_+ = ``q_plus`` = Q - G'G. A zero row of Q gives zero rows of K
+    and Q_+.
     """
 
-    whiten: np.ndarray
-    q0: np.ndarray
-    r0: np.ndarray
-    c0: np.ndarray
     gain: np.ndarray
     transition: np.ndarray
     q_plus: np.ndarray
@@ -411,15 +411,14 @@ def factor_fixed_rows(model: DiscreteModel) -> FixedRows:
     weight = np.zeros((l + p, l + p))
     weight[:l, :l] = model.r_u
     weight[l:, l:] = model.c @ model.q @ model.c.T + model.r_x
-    whiten = linalg.triangular_inverse(
-        linalg.cholesky(weight, "fixed-row weight diag(R_u, C Q C' + R_x)"), lower=True
+    rows = linalg.factor_rows(
+        stacked_design(model)[n:], weight, "fixed-row weight diag(R_u, C Q C' + R_x)"
     )
-    q0, r0 = linalg.qr(whiten @ stacked_design(model)[n:])
-    w_s = whiten[l:, l:]
+    w_s = rows.whiten[l:, l:]
     g = w_s @ model.c @ model.q
     gain = g.T @ w_s
     transition = model.ab - gain @ (model.c @ model.ab)
-    return FixedRows(whiten, q0, r0, q0.T @ whiten, gain, transition, model.q - g.T @ g)
+    return FixedRows(rows.whiten, rows.q0, rows.r0, rows.c0, gain, transition, model.q - g.T @ g)
 
 
 @dataclass(frozen=True)

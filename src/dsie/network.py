@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import jsonschema
 
@@ -204,6 +206,13 @@ class AreaSpec:
     dgus: tuple[str, ...] = ()
     loads: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # Tuples whatever sequences it is given, so nothing in it changes.
+        object.__setattr__(self, "buses", tuple(self.buses))
+        object.__setattr__(self, "lines", tuple(tuple(key) for key in self.lines))
+        object.__setattr__(self, "dgus", tuple(self.dgus))
+        object.__setattr__(self, "loads", tuple(self.loads))
+
 
 @dataclass(frozen=True)
 class NetworkTopology:
@@ -213,16 +222,22 @@ class NetworkTopology:
     loads: tuple[Load, ...] = ()
     sensors: SensorPlacement = field(default_factory=SensorPlacement)
     omega: float = 2 * 3.141592653589793 * 60.0
-    areas: dict[str, AreaSpec] | None = None
+    areas: Mapping[str, AreaSpec] | None = None
     shared_buses: tuple[str, ...] = ()
     name: str = ""
+
+    def __post_init__(self):
+        # A read-only copy of the areas it is given, so that ``key`` stays
+        # exact: a change to the caller's mapping does not reach it.
+        if self.areas is not None:
+            object.__setattr__(self, "areas", MappingProxyType(dict(self.areas)))
 
     @functools.cached_property
     def key(self) -> str:
         """The topology's ``repr``, built on first use and then kept: an exact
-        key of everything in it (its areas are a dict, so it has no hash). A
-        topology is not changed after it is made; ``dataclasses.replace``
-        makes a new one, with its own key."""
+        key of everything in it (its areas are a mapping, so it has no
+        hash). Nothing in a topology changes after it is made;
+        ``dataclasses.replace`` makes a new one, with its own key."""
         return repr(self)
 
     def bus(self, bus_id: str) -> Bus:

@@ -334,7 +334,7 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     for k, z in enumerate(rows):
         y, squared[k] = apply_tse(node.gains, y, z)
         estimates[k] = y
-        node = node.step(None, True, lambda: (node.gains.p_next,))[0]
+        node = node.step(None, True, lambda: (node.gains.cov,))[0]
     run.x_est[1:] = estimates[:, : model.n]
     run.u_est[1:] = estimates[:, model.n :]
     np.sqrt(squared, out=squared)

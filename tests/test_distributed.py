@@ -1044,8 +1044,8 @@ class TestNodePathEqualsPublicFunctions:
 
 class TestGivenCovariancesOnlyAreValidated:
     """``linalg.symmetrize_psd`` checks the covariances a run is given: each
-    initial P0, and the tracking Q once per tracking gains computation. The
-    covariances a cycle computes are symmetrized only."""
+    initial P0, and the tracking Q once, not once per tracking gains
+    computation. The covariances a cycle computes are symmetrized only."""
 
     def test_runs_validate_only_the_given_covariances(self, monkeypatch):
         estimator.gains_table.clear()
@@ -1071,7 +1071,7 @@ class TestGivenCovariancesOnlyAreValidated:
         nominal = np.concatenate([prepared.x_nominal, prepared.u_nominal])
         pipeline.run_tse(prepared.model, z_x, z_u, scenario, x0_est, prepared.u0, nominal)
         assert len(tse_gains_calls) > 1
-        assert len(validated) == 1 + len(tse_gains_calls)
+        assert len(validated) == 2  # P0 and Q
 
         validated.clear()
         run = pipeline.run_ddsie(*inputs)
@@ -1093,7 +1093,7 @@ class TestFixedRowsOncePerModel:
             measurement_std_override=prepared.measurement_std_override,
         )
         for built in [prepared.model] + [a.model for a in areas]:
-            assert not {"fixed_rows", "ab", "measurement_design", "content"} & set(vars(built))
+            assert not {"fixed_rows", "ab", "measurement_rows", "content"} & set(vars(built))
 
     def test_lossy_run_factors_each_area_model_once(self, monkeypatch):
         estimator.gains_table.clear()

@@ -397,7 +397,7 @@ class TestResidualDistance:
         model = random_joint_model(rng, 4, 2, 4, 6)
         z_x, z_u = rng.normal(size=model.p), rng.normal(size=model.l)
         result = wls_snapshot(z_x, z_u, model)
-        h, r = model.measurement_design
+        h, r = sla.block_diag(model.c, model.d), sla.block_diag(model.r_x, model.r_u)
         residual = np.concatenate([z_x, z_u]) - h @ np.concatenate([result.x_hat, result.u_hat])
         assert result.bdd.dof == 4
         assert result.bdd.distance == pytest.approx(np.sqrt(residual @ np.linalg.solve(r, residual)), rel=1e-9)
@@ -659,8 +659,8 @@ class TestTseStep:
             z_x = x_true + rng.normal(scale=0.05, size=2)
             z_u = u_true + rng.normal(scale=0.05, size=2)
             state, _ = tse_step(state, z_x, z_u, model, 1e-6)
-        np.testing.assert_allclose(state.x_part(model), x_true, atol=0.05)
-        np.testing.assert_allclose(state.u_part(model), u_true, atol=0.05)
+        np.testing.assert_allclose(state.y_hat[: model.n], x_true, atol=0.05)
+        np.testing.assert_allclose(state.y_hat[model.n :], u_true, atol=0.05)
 
     def test_large_q_limit_is_snapshot_wls(self):
         model = small_model()
@@ -670,8 +670,8 @@ class TestTseStep:
         state = initial_tse_state(model, np.zeros(2), np.zeros(2), 1.0)
         state, _ = tse_step(state, z_x, z_u, model, 1e9)
         res = wls_snapshot(z_x, z_u, model)
-        np.testing.assert_allclose(state.x_part(model), res.x_hat, atol=1e-3)
-        np.testing.assert_allclose(state.u_part(model), res.u_hat, atol=1e-3)
+        np.testing.assert_allclose(state.y_hat[: model.n], res.x_hat, atol=1e-3)
+        np.testing.assert_allclose(state.y_hat[model.n :], res.u_hat, atol=1e-3)
 
     def test_step_change_transient_worse_than_dsie(self):
         model = small_model(state_std=0.05, input_std=0.05, process_std=0.01)
@@ -690,7 +690,7 @@ class TestTseStep:
             tse, _ = tse_step(tse, z_x, z_u, model, q_tse)
             dsie, _, _ = dsie_step(dsie, z_u, z_x)
             if k == 101:
-                tse_err = np.linalg.norm(tse.x_part(model) - x[k + 1])
+                tse_err = np.linalg.norm(tse.y_hat[: model.n] - x[k + 1])
                 dsie_err = np.linalg.norm(dsie.x_hat - x[k + 1])
         assert tse_err > dsie_err
 
@@ -852,8 +852,8 @@ class TestGainsReuse:
         x, u, distance, flags = [x0], [u0], [0.0], [False]
         for k in range(1, z_x.shape[0]):
             state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)  # gains at each P
-            x.append(state.x_part(model))
-            u.append(state.u_part(model))
+            x.append(state.y_hat[: model.n])
+            u.append(state.y_hat[model.n :])
             distance.append(report.distance)
             flags.append(report.flagged)
         assert_series_close(run.x_est, x)
@@ -918,8 +918,8 @@ def step_loop(method, scenario, model, z_x, z_u, x0, p0, u0, nominal):
             u.append(joint.u_hat)  # dsie's input estimate at k is that of step k - 1
         else:
             state, report = tse_step(state, z_x[k], z_u[k], model, q_tse, bdd)
-            x.append(state.x_part(model))
-            u.append(state.u_part(model))
+            x.append(state.y_hat[: model.n])
+            u.append(state.y_hat[model.n :])
         distance.append(report.distance)
         thresholds.append(report.threshold)
         flags.append(report.flagged)
@@ -989,7 +989,7 @@ SERIES = ("x_est", "u_est", "mahalanobis", "flags")
 GAINS_OF = {
     "dsie": (estimator, "joint_wls_gains"),
     "tse": (estimator, "tse_gains"),
-    "wls": (linalg, "whitened_qr"),
+    "wls": (estimator, "measurement_gains"),
 }
 
 
@@ -1469,11 +1469,11 @@ class TestDataStepsEqualTheirFormulas:
         dense = random_spd(np.random.default_rng(28), y_size) * np.outer(nominal, nominal)
         dense = 0.5 * (dense + dense.T)
         for p in (np.diag(scenario.p0_scale * nominal**2), dense):  # sparse and dense gains
-            gains = estimator.tse_gains(*model.measurement_design, p, q)
+            gains = estimator.tse_gains(model, p, q)
             for row in rows:
                 y_hat, z = row[:y_size], row[-(model.p + model.l) :]
-                innovation = z - gains.h @ y_hat
-                w = gains.whiten @ innovation
+                observation = np.concatenate([y_hat, z])
+                w = gains.whiten @ observation
                 y_next, squared = estimator.apply_tse(gains, y_hat, z)
-                assert_same_bits(y_next, y_hat + gains.gain @ innovation)
+                assert_same_bits(y_next, gains.wls @ observation)
                 assert_same_bits(squared, w @ w)

@@ -1,6 +1,6 @@
 """Numeric kernel tests: WLS, Mahalanobis, ZOH discretization, PSD hygiene,
-the Kalman measurement update, the QR factorisation, and the one-thread
-OpenBLAS pools that importing dsie sets up."""
+the measurement update as one WLS step, the QR factorisation, and the
+one-thread OpenBLAS pools that importing dsie sets up."""
 
 import json
 import os
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from dsie import linalg, pipeline
+from dsie import estimator, linalg, pipeline
 from dsie.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient
 from dsie.linalg import (
     clamp_eigenvalues,
@@ -23,7 +23,8 @@ from dsie.linalg import (
     symmetrize_psd,
     wls_solve,
 )
-from dsie.model import stacked_design
+from dsie.estimator import BddConfig
+from dsie.model import DiscreteModel, stacked_design
 from dsie.network import load_network
 from dsie.sim import load_scenario
 
@@ -182,30 +183,43 @@ class TestSymmetrizePsd:
 
 
 class TestKalmanUpdate:
+    """The Kalman measurement update is the WLS step over the prior rows
+    (``estimator.prior_rows_gains``): from the prior y ~ P + Q and the rows
+    z = H y ~ R, the covariance is the information form's and the weighted
+    residual is the innovation distance v' S^-1 v for S = H (P + Q) H' + R."""
+
     @pytest.mark.parametrize("n, k, seed", [(1, 1, 0), (4, 2, 1), (6, 6, 2), (9, 3, 3), (5, 12, 4)])
     def test_matches_the_information_form(self, n, k, seed):
-        # P+ = (P^-1 + H' R^-1 H)^-1 and K = P+ H' R^-1
+        # P+ = ((P + Q)^-1 + H' R^-1 H)^-1 and K = P+ H' R^-1
         rng = np.random.default_rng(seed)
-        p, r = random_spd(rng, n), random_spd(rng, k)
+        p, q, r = random_spd(rng, n), random_spd(rng, n), random_spd(rng, k)
         h = rng.normal(size=(k, n))
-        gain, p_next, factor = linalg.kalman_update(p, h, r)
+        y, z = rng.normal(size=n), rng.normal(size=k)
+        prior = p + q
+        gains = estimator.prior_rows_gains(linalg.factor_rows(h, r), prior, None)
         r_inv = np.linalg.inv(r)
-        info = np.linalg.inv(np.linalg.inv(p) + h.T @ r_inv @ h)
-        np.testing.assert_allclose(p_next, info, rtol=1e-10)
-        np.testing.assert_allclose(gain, info @ h.T @ r_inv, rtol=1e-10)
-        np.testing.assert_allclose(factor @ factor.T, h @ p @ h.T + r, rtol=1e-10)
-        np.testing.assert_array_equal(p_next, p_next.T)
+        info = np.linalg.inv(np.linalg.inv(prior) + h.T @ r_inv @ h)
+        np.testing.assert_allclose(gains.cov, info, rtol=1e-10)
+        np.testing.assert_array_equal(gains.cov, gains.cov.T)
+        innovation = z - h @ y
+        estimate, distance = estimator.apply_wls(gains, np.concatenate([y, z]))
+        np.testing.assert_allclose(estimate, y + info @ h.T @ r_inv @ innovation, rtol=1e-10, atol=1e-12)
+        s = h @ prior @ h.T + r
+        assert distance**2 == pytest.approx(innovation @ np.linalg.solve(s, innovation), rel=1e-10)
+        assert gains.dof == k
 
     def test_no_rows_give_a_zero_gain_and_the_covariance_unchanged(self):
-        p = random_spd(np.random.default_rng(7), 5)
-        gain, p_next, factor = linalg.kalman_update(p, np.zeros((0, 5)), np.zeros((0, 0)))
-        np.testing.assert_array_equal(gain, np.zeros((5, 0)))
-        np.testing.assert_array_equal(p_next, p)
-        assert factor.shape == (0, 0)
-
-    def test_an_innovation_covariance_that_does_not_factor_is_named(self):
-        with pytest.raises(NotPositiveDefinite, match="fusion innovation covariance"):
-            linalg.kalman_update(np.eye(3), np.eye(3)[:2], -2.0 * np.eye(2), "fusion innovation covariance")
+        rng = np.random.default_rng(7)
+        p = random_spd(rng, 5)
+        model = DiscreteModel(
+            a_d=np.eye(5), b_d=np.zeros((5, 1)), c=np.zeros((0, 5)), d=np.eye(1),
+            q=np.zeros((5, 5)), r_x=np.zeros((0, 0)), r_u=np.eye(1), t_s=1.0,
+            state_ids=(), input_ids=(),
+        )
+        x_pred = rng.normal(size=5)
+        x_hat, p_x = estimator.update(x_pred, p, np.zeros(0), model)
+        assert x_hat.tobytes() == x_pred.tobytes()
+        assert p_x is p
 
 
 def _prepared(name):
@@ -253,9 +267,9 @@ class TestQr:
         model = _prepared("example13_load_change").model
         stack = _joint_stack(model, random_spd(np.random.default_rng(42), model.n, condition=1e4))
         _assert_numpy_qr(stack, *linalg.qr(stack))
-        h, r = model.measurement_design
-        whitened = np.linalg.solve(np.linalg.cholesky(r), h)
-        _assert_numpy_qr(whitened, *linalg.qr(whitened))
+        rows = model.measurement_rows
+        h = scipy.linalg.block_diag(model.c, model.d)
+        _assert_numpy_qr(rows.whiten @ h, rows.q0, rows.r0)
 
     @pytest.mark.parametrize(
         "shape",
@@ -374,7 +388,7 @@ class TestExactlySymmetricCovariance:
 
     def test_the_snapshot_covariance(self):
         model = _prepared("example13_load_change").model
-        _assert_exactly_symmetric(linalg.whitened_qr(*model.measurement_design)[3])
+        _assert_exactly_symmetric(estimator.measurement_gains(model, BddConfig()).cov)
 
     @pytest.mark.parametrize("size", [8, 16, 33, 64, 126])
     def test_random_triangular_inverses(self, size):

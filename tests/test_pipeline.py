@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 
 from dsie import estimator, linalg, model, pipeline, sim
 from dsie.metrics import false_alarm_rate
-from dsie.network import NetworkTopology, load_network
+from dsie.network import AreaSpec, NetworkTopology, load_network
 from dsie.pipeline import _write_long_csv, run_scenario, write_outputs
 from dsie.sim import LoadEvent, load_scenario
 
@@ -387,6 +388,27 @@ class TestSharedModel:
                 if isinstance(value, np.ndarray):
                     assert not value.flags.writeable, f.name
 
+    def test_the_areas_behind_a_topologys_key_cannot_change(self):
+        topology, scenario = bundled("fixture4_load_change")
+        prepared = pipeline.prepare(topology, scenario)
+        assert len(prepared.areas) == 2
+        with pytest.raises(AttributeError):
+            topology.areas.pop("east")
+        with pytest.raises(TypeError):
+            del topology.areas["east"]
+        with pytest.raises(TypeError):
+            topology.areas["north"] = topology.areas["east"]
+        with pytest.raises(AttributeError):
+            topology.areas["east"].buses = ()
+        spec = AreaSpec(buses=["b1"], lines=[["b1", "b2"]], dgus=["b1"], loads=[])
+        assert (spec.buses, spec.lines, spec.dgus, spec.loads) == (("b1",), (("b1", "b2"),), ("b1",), ())
+        given = dict(topology.areas)
+        copied = replace(topology, areas=given)
+        given.pop("east")  # the topology holds its own copy
+        assert dict(copied.areas) == dict(topology.areas)
+        assert pipeline.prepare(topology, scenario) is prepared
+        assert len(prepared.areas) == 2
+
     def test_a_failed_prepare_stores_nothing(self):
         topology, scenario = bundled("fixture4_load_change")
         bad = replace(scenario, load_events=(LoadEvent(0.1, "i_nowhere", (1.0, 0.0)),))
@@ -506,3 +528,29 @@ class TestReportScenario:
         assert doc == asdict(scenario)
         assert doc["initial_inputs"] is not scenario.initial_inputs
         assert all(doc["initial_inputs"][k] is not v for k, v in scenario.initial_inputs.items())
+
+
+class TestNumericalEnvelope:
+    """Valid settings at the edge of the bundled scenarios: a huge initial
+    covariance, and measurements a hundred million times sharper than
+    bundled. Every method finishes with finite estimates, and the run
+    reports on all of them."""
+
+    @pytest.mark.parametrize(
+        "name, changes",
+        [
+            ("fixture4_load_change", {"p0_scale": 1e12}),
+            ("example13_load_change", {"p0_scale": 1e12}),
+            ("fixture4_load_change", {"measurement_fraction": 1e-8}),
+        ],
+        ids=["fixture4-p0_scale-1e12", "example13-p0_scale-1e12", "fixture4-measurement_fraction-1e-8"],
+    )
+    def test_every_method_finishes(self, name, changes):
+        topology, scenario = bundled(name, estimators=METHODS, **changes)
+        result = run_scenario(topology, scenario)
+        assert sorted(result["report"]["methods"]) == sorted(METHODS)
+        for method, run in result["series"]["runs"].items():
+            assert np.isfinite(run.x_est).all(), method
+            assert run.u_est is None or np.isfinite(run.u_est).all(), method
+            assert np.isfinite(run.mahalanobis).all(), method
+            assert math.isfinite(result["report"]["methods"][method]["mse_state_mean"]), method
