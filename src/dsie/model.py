@@ -32,7 +32,7 @@ from .errors import (
     UnknownSensorTarget,
     UnrepresentableTopology,
 )
-from .network import NetworkTopology, SensorChannel, SensorPlacement
+from .network import NetworkTopology
 
 _EPS = np.finfo(float).eps
 
@@ -462,17 +462,24 @@ def check_joint_rank(model: DiscreteModel) -> RankReport:
 
 @dataclass(frozen=True)
 class AreaModel:
-    """One area's discrete model plus its shared-input maps.
+    """One area's discrete model, its shared-input maps and where it sits in
+    the network's model.
 
     ``shared_inputs`` maps a neighbor area id to (local input index,
     neighbor input index) pairs; ``shared_coordinates`` carries the
-    matching coordinate labels (e.g. "v_4:d").
+    matching coordinate labels (e.g. "v_4:d"). ``z_x_rows`` and
+    ``z_u_rows`` are the rows of the network's z_x and z_u that carry the
+    area's channels, and ``state_columns`` the coordinates of the network's
+    state that are the area's states; all three are read-only.
     """
 
     area_id: str
     model: DiscreteModel
     shared_inputs: dict[str, tuple[tuple[int, int], ...]]
     shared_coordinates: dict[str, tuple[str, ...]]
+    z_x_rows: np.ndarray
+    z_u_rows: np.ndarray
+    state_columns: np.ndarray
 
     @functools.cached_property
     def neighbors(self) -> tuple[str, ...]:
@@ -502,56 +509,10 @@ class SharedIndex:
     block: tuple[np.ndarray, np.ndarray]
 
 
-def _area_topology(topology: NetworkTopology, area_id: str, spec) -> NetworkTopology:
-    bus_set = set(spec.buses)
-    buses = tuple(b for b in topology.buses if b.id in bus_set)
-    line_keys = {tuple(k) for k in spec.lines}
-    lines = tuple(l for l in topology.lines if (l.from_bus, l.to_bus) in line_keys)
-    if len(lines) != len(line_keys):
-        missing = line_keys - {(l.from_bus, l.to_bus) for l in lines}
-        raise UnassignedElement(f"area {area_id!r} references unknown lines {sorted(missing)}")
-    dgus = tuple(d for d in topology.dgus if d.at_bus in set(spec.dgus))
-    loads = tuple(l for l in topology.loads if l.at_bus in set(spec.loads))
-    for l in lines:
-        for end in (l.from_bus, l.to_bus):
-            if end not in bus_set:
-                raise UnassignedElement(
-                    f"area {area_id!r}: line {l.state_id} endpoint {end!r} not in the area bus list"
-                )
-    for d in dgus:
-        if d.at_bus not in bus_set:
-            raise UnassignedElement(f"area {area_id!r}: DGU bus {d.at_bus!r} not in the area bus list")
-    for l in loads:
-        if l.at_bus not in bus_set:
-            raise UnassignedElement(f"area {area_id!r}: load bus {l.at_bus!r} not in the area bus list")
-
-    # Filter sensors down to targets that exist locally.
-    local_state_ids = {d.state_id for d in dgus} | {l.state_id for l in lines}
-    local_dynamic = {b.id for b in buses if _dynamic_capacitance(topology, b.id) > 0}
-    local_state_ids |= {f"v_{b}" for b in local_dynamic}
-    local_input_ids = {f"v_{b.id}" for b in buses if b.id not in local_dynamic}
-    local_input_ids |= {l.current_input for l in loads}
-    local_input_ids |= {d.terminal_voltage_input for d in dgus}
-    sensors = SensorPlacement(
-        states=tuple(
-            SensorChannel(c.target, c.std)
-            for c in topology.sensors.states
-            if c.target in local_state_ids
-        ),
-        inputs=tuple(
-            SensorChannel(c.target, c.std)
-            for c in topology.sensors.inputs
-            if c.target in local_input_ids
-        ),
-    )
-    return NetworkTopology(
-        buses=buses,
-        lines=lines,
-        dgus=dgus,
-        loads=loads,
-        sensors=sensors,
-        omega=topology.omega,
-        name=f"{topology.name}/{area_id}",
+def _coordinates(ids, keep) -> np.ndarray:
+    """The (d, q) coordinates of the ids in ``keep``, in the order of ``ids``."""
+    return np.array(
+        [i for k, sid in enumerate(ids) if sid in keep for i in (2 * k, 2 * k + 1)], dtype=np.intp
     )
 
 
@@ -567,6 +528,17 @@ def partition(
 
     Every line, DGU and load must be assigned to exactly one area; every
     shared bus voltage must appear as an input of at least two areas.
+
+    An area's model is a selection of the network's, which is built once,
+    taken in network order. Its states are the currents of its own DGUs
+    and lines and the dynamic buses on its bus list; its inputs are the
+    other buses on its bus list and the inputs of its own loads and DGUs;
+    its channels are the sensor rows whose target it holds. A_d and B_d
+    are the exact ZOH of the network's A and B restricted to those states
+    and inputs, and C, D, Q, R_x and R_u are the network's restricted to
+    them and to those rows. The selection is exact: every element that a
+    state equation of the area reads lies in the area, so each restricted
+    row sums the same coefficients, in the same order, as the network's.
     """
     areas = areas if areas is not None else topology.areas
     shared = tuple(shared_buses) if shared_buses is not None else topology.shared_buses
@@ -622,41 +594,72 @@ def partition(
                     "but are not declared shared"
                 )
 
+    # Each area's own elements, in network order: the buses they touch must
+    # be on its bus list, and they and its buses hold its ids.
+    touched = {}
+    owned_ids = {}
+    for aid, spec in areas.items():
+        keys = set(spec.lines)
+        lines = [l for l in topology.lines if (l.from_bus, l.to_bus) in keys]
+        if len(lines) != len(keys):
+            missing = keys - {(l.from_bus, l.to_bus) for l in lines}
+            raise UnassignedElement(f"area {aid!r} references unknown lines {sorted(missing)}")
+        dgus = [d for d in topology.dgus if d.at_bus in spec.dgus]
+        loads = [l for l in topology.loads if l.at_bus in spec.loads]
+        ends = [(f"line {l.state_id} endpoint", e) for l in lines for e in (l.from_bus, l.to_bus)]
+        ends += [("DGU bus", x.at_bus) for x in dgus] + [("load bus", x.at_bus) for x in loads]
+        for what, bus in ends:
+            if bus not in spec.buses:
+                raise UnassignedElement(f"area {aid!r}: {what} {bus!r} not in the area bus list")
+        touched[aid] = {bus for _, bus in ends}
+        ids = owned_ids[aid] = {f"v_{b}" for b in spec.buses}
+        ids.update(l.state_id for l in lines)
+        ids.update(x for d in dgus for x in (d.state_id, d.terminal_voltage_input))
+        ids.update(l.current_input for l in loads)
+
     # A shared bus must sit on the boundary of each holding area: some local
     # element has to touch it, otherwise its voltage would be a dangling input.
-    sub_topologies = {aid: _area_topology(topology, aid, spec) for aid, spec in areas.items()}
     for s, hs in holders.items():
         for aid in hs:
-            sub = sub_topologies[aid]
-            touched = any(s in (l.from_bus, l.to_bus) for l in sub.lines)
-            touched = touched or any(d.at_bus == s for d in sub.dgus)
-            touched = touched or any(l.at_bus == s for l in sub.loads)
-            if not touched:
+            if s not in touched[aid]:
                 raise NonAdjacentShare(
                     f"shared bus {s!r} is not on the boundary of area {aid!r}"
                 )
 
-    if isinstance(process_noise_std, dict):
-        noise_by_id = dict(process_noise_std)
-    elif np.isscalar(process_noise_std):
-        noise_by_id = None
-    else:
-        cent_ids, _ = state_and_input_ids(topology)
-        arr = np.asarray(process_noise_std, dtype=float)
-        noise_by_id = {sid: float(arr[2 * k]) for k, sid in enumerate(cent_ids)}
+    cont = build_continuous(topology)
+    c, d, r_x, r_u, x_labels, u_labels = build_measurement(
+        topology, cont, measurement_std_override
+    )
+    q = _noise_diag(process_noise_std, cont.state_ids, cont.n, "process noise")
+    models, index = {}, {}
+    for aid in sorted(areas):
+        keep = owned_ids[aid]
+        cols_x = _coordinates(cont.state_ids, keep)
+        cols_u = _coordinates(cont.input_ids, keep)
+        c_area = c[:, cols_x]
+        d_area = d[:, cols_u]
+        rows_x = np.flatnonzero(c_area.any(axis=1))
+        rows_u = np.flatnonzero(d_area.any(axis=1))
+        a_d, b_d = linalg.discretize_zoh(cont.a[cols_x][:, cols_x], cont.b[cols_x][:, cols_u], t_s)
+        for a in (a_d, b_d, rows_x, rows_u, cols_x):
+            a.setflags(write=False)
+        models[aid] = DiscreteModel(
+            a_d=a_d,
+            b_d=b_d,
+            c=c_area[rows_x],
+            d=d_area[rows_u],
+            q=np.diag(q[cols_x]),
+            r_x=r_x[rows_x][:, rows_x],
+            r_u=r_u[rows_u][:, rows_u],
+            t_s=float(t_s),
+            state_ids=tuple(sid for sid in cont.state_ids if sid in keep),
+            input_ids=tuple(iid for iid in cont.input_ids if iid in keep),
+            z_x_labels=tuple(x_labels[r] for r in rows_x.tolist()),
+            z_u_labels=tuple(u_labels[r] for r in rows_u.tolist()),
+        )
+        index[aid] = rows_x, rows_u, cols_x
 
     out = []
-    models = {}
-    for aid in sorted(areas):
-        sub = sub_topologies[aid]
-        local_ids, _ = state_and_input_ids(sub)
-        if noise_by_id is None:
-            noise = process_noise_std
-        else:
-            noise = {sid: noise_by_id.get(sid, 0.0) for sid in local_ids}
-        models[aid] = build_discrete(
-            sub, t_s, process_noise_std=noise, measurement_std_override=measurement_std_override
-        )
     for aid in sorted(areas):
         shares: dict[str, tuple[tuple[int, int], ...]] = {}
         coords: dict[str, tuple[str, ...]] = {}
@@ -675,7 +678,16 @@ def partition(
                 labels.extend([f"v_{s}:d", f"v_{s}:q"])
             shares[other] = tuple(pairs)
             coords[other] = tuple(labels)
+        rows_x, rows_u, cols_x = index[aid]
         out.append(
-            AreaModel(area_id=aid, model=models[aid], shared_inputs=shares, shared_coordinates=coords)
+            AreaModel(
+                area_id=aid,
+                model=models[aid],
+                shared_inputs=shares,
+                shared_coordinates=coords,
+                z_x_rows=rows_x,
+                z_u_rows=rows_u,
+                state_columns=cols_x,
+            )
         )
     return out

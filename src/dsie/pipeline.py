@@ -78,10 +78,13 @@ class Prepared:
     - the nominal magnitudes of x and u, the process noise standard
       deviations and the measurement standard deviation override.
 
-    Its rank report, area models and area indexes are built on first use
-    and then shared as well, and so are, on its discrete model, the
-    measurement standard deviations (``DiscreteModel.measurement_std``)
-    and the unscaled stealthy attacks (``DiscreteModel.unit_attacks``).
+    Its rank report and area models are built on first use and then
+    shared as well, and so are, on its discrete model, the measurement
+    standard deviations (``DiscreteModel.measurement_std``) and the
+    unscaled stealthy attacks (``DiscreteModel.unit_attacks``). Each area
+    model is an index selection of the network's model and carries the
+    rows of a run's z_x and z_u and the columns of the network's state it
+    reads (``partition``).
     """
 
     topology: NetworkTopology
@@ -103,7 +106,8 @@ class Prepared:
 
     @functools.cached_property
     def areas(self) -> tuple[AreaModel, ...]:
-        """The models of the topology's declared areas (``partition``); built on first use."""
+        """The models of the topology's declared areas, each a selection of
+        the network's model (``partition``); built on first use."""
         return tuple(
             partition(
                 self.topology,
@@ -112,25 +116,6 @@ class Prepared:
                 measurement_std_override=self.measurement_std_override,
             )
         )
-
-    @functools.cached_property
-    def area_index(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per area of ``areas``, read-only index arrays: the rows of a run's
-        z_x and of its z_u that carry the area's channels, matched by label
-        (``_rows_by_label``), and the columns of the network's state that
-        are the area's states; built on first use."""
-        state_index = self.continuous.state_index
-        index = []
-        for area in self.areas:
-            arrays = (
-                _rows_by_label(area.model.z_x_labels, self.model.z_x_labels),
-                _rows_by_label(area.model.z_u_labels, self.model.z_u_labels),
-                [i for sid in area.model.state_ids for i in state_index[sid]],
-            )
-            index.append(tuple(np.array(a, dtype=np.intp) for a in arrays))
-            for a in index[-1]:
-                a.setflags(write=False)
-        return tuple(index)
 
 
 def prepare(topology: NetworkTopology, scenario: Scenario) -> Prepared:
@@ -343,22 +328,13 @@ def run_tse(model, z_x, z_u, scenario: Scenario, x0_est, u0_est, nominal_stacked
     return run
 
 
-def _rows_by_label(labels, central_labels):
-    """Rows of the central stream that carry ``labels``; a label measured
-    more than once is matched in order."""
-    rows = {}
-    for i, label in enumerate(central_labels):
-        rows.setdefault(label, []).append(i)
-    queues = {label: iter(r) for label, r in rows.items()}
-    return [next(queues[label]) for label in labels]
-
-
 def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
     """Distributed run over the areas of ``prepared`` with lockstep rounds.
 
     Every area reads its own channels out of the run's one measurement
-    stream by sensor label (``Prepared.area_index``) and starts from its
-    block of ``x0_est``/``p0``. Each area tests at ``_area_bdd``. Each row
+    stream at the rows its ``AreaModel`` carries (``z_x_rows``,
+    ``z_u_rows``) and starts from its block (``state_columns``) of
+    ``x0_est``/``p0``. Each area tests at ``_area_bdd``. Each row
     records every area's distance and the threshold it was tested at
     (``inf`` on row 0), and a cross-check's coordinates are walked only
     when it rejected some. The areas' states, distances and thresholds are
@@ -367,12 +343,14 @@ def run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0) -> MethodRun:
     steps = z_x.shape[0] - 1
     bdd = _area_bdd(_bdd(scenario), prepared.areas)
     estimators, rows, per_area = [], [], []
-    for area, (rows_x, rows_u, cols_x) in zip(prepared.areas, prepared.area_index):
+    for area in prepared.areas:
+        cols_x = area.state_columns
         est = make_area_estimator(
             area, x0_est[cols_x], p0[np.ix_(cols_x, cols_x)], bdd, kappa=scenario.kappa
         )
         estimators.append(est)
-        rows.append(zip(z_u[:steps, rows_u], z_x[1:, rows_x]))  # round k reads z_u[k-1], z_x[k]
+        # round k reads z_u[k-1], z_x[k]
+        rows.append(zip(z_u[:steps, area.z_u_rows], z_x[1:, area.z_x_rows]))
         # The area's states, distances and thresholds; row 0 is the initial
         # estimate, never flagged.
         xs = np.empty((steps + 1, cols_x.shape[0]))

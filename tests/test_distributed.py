@@ -971,10 +971,11 @@ def areas_at_round(name, rounds):
     scenario, prepared, z_x, z_u, x0_est, p0 = ddsie_inputs(name)
     bdd = pipeline._area_bdd(pipeline._bdd(scenario), prepared.areas)
     ests, rows = [], []
-    for area, (rows_x, rows_u, cols_x) in zip(prepared.areas, prepared.area_index):
+    for area in prepared.areas:
+        cols_x = area.state_columns
         p0_area = p0[np.ix_(cols_x, cols_x)]
         ests.append(make_area_estimator(area, x0_est[cols_x], p0_area, bdd, kappa=scenario.kappa))
-        rows.append((rows_u, rows_x))
+        rows.append((area.z_u_rows, area.z_x_rows))
 
     def meas(k):
         return {e.area_id: (z_u[k - 1, ru], z_x[k, rx]) for e, (ru, rx) in zip(ests, rows)}
@@ -1146,8 +1147,70 @@ class TestDdsiePipeline:
         assert hits.size and hits[0] <= 1
 
 
+def central_rows(labels, central):
+    """The central row of each label; the i-th repeat of a label is its i-th row."""
+    rows = []
+    for j, label in enumerate(labels):
+        repeat = labels[:j].count(label)
+        rows.append([i for i, c in enumerate(central) if c == label][repeat])
+    return rows
+
+
 class TestOneStream:
     """Every area reads its channels out of the run's one measurement stream."""
+
+    @pytest.mark.parametrize("noise", ["prepared", "defaults"])
+    @pytest.mark.parametrize("name", ["fixture4_load_change", "example13_load_change"])
+    def test_an_area_is_a_selection_of_the_network_model(self, name, noise):
+        scenario = load_scenario(bundled_scenario_path(name))
+        topology = load_network(bundled_network_path(scenario.network))
+        prepared = pipeline.prepare(topology, scenario)
+        if noise == "prepared":
+            network, areas = prepared.model, prepared.areas
+        else:
+            network = build_discrete(topology, scenario.t_s)
+            areas = partition(topology, scenario.t_s)
+        cont = prepared.continuous
+        for area in areas:
+            spec = topology.areas[area.area_id]
+            owned = {f"v_{b}" for b in spec.buses}
+            owned |= {l.state_id for l in topology.lines if (l.from_bus, l.to_bus) in spec.lines}
+            owned |= {
+                x
+                for d in topology.dgus
+                if d.at_bus in spec.dgus
+                for x in (d.state_id, d.terminal_voltage_input)
+            }
+            owned |= {l.current_input for l in topology.loads if l.at_bus in spec.loads}
+            m = area.model
+            assert m.state_ids == tuple(sid for sid in network.state_ids if sid in owned)
+            assert m.input_ids == tuple(iid for iid in network.input_ids if iid in owned)
+            for labels, central in (
+                (m.z_x_labels, network.z_x_labels),
+                (m.z_u_labels, network.z_u_labels),
+            ):
+                assert labels == tuple(lab for lab in central if lab.rsplit(":", 1)[0] in owned)
+            s = [k for sid in m.state_ids for k in cont.state_index[sid]]
+            i = [k for iid in m.input_ids for k in cont.input_index[iid]]
+            rows_x = central_rows(m.z_x_labels, network.z_x_labels)
+            rows_u = central_rows(m.z_u_labels, network.z_u_labels)
+            assert area.z_x_rows.tolist() == rows_x
+            assert area.z_u_rows.tolist() == rows_u
+            assert area.state_columns.tolist() == s
+            a_d, b_d = linalg.discretize_zoh(
+                cont.a[np.ix_(s, s)], cont.b[np.ix_(s, i)], scenario.t_s
+            )
+            expected = (
+                a_d,
+                b_d,
+                network.c[np.ix_(rows_x, s)],
+                network.d[np.ix_(rows_u, i)],
+                network.q[np.ix_(s, s)],
+                network.r_x[np.ix_(rows_x, rows_x)],
+                network.r_u[np.ix_(rows_u, rows_u)],
+            )
+            for got, want in zip((m.a_d, m.b_d, m.c, m.d, m.q, m.r_x, m.r_u), expected):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
         "name, changes",
@@ -1187,14 +1250,6 @@ class TestOneStream:
         monkeypatch.setattr(pipeline, "run_round", capture)
         pipeline.run_ddsie(scenario, prepared, z_x, z_u, x0_est, p0)
         assert len(rounds) == scenario.steps
-
-        def central_rows(labels, central):
-            """The central row of each label; the i-th repeat of a label is its i-th row."""
-            rows = []
-            for j, label in enumerate(labels):
-                repeat = labels[:j].count(label)
-                rows.append([i for i, c in enumerate(central) if c == label][repeat])
-            return rows
 
         areas = {a.area_id: a.model for a in partition(topology, scenario.t_s)}
         for k, measurements in enumerate(rounds, start=1):

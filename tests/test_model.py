@@ -1,5 +1,8 @@
 """Model assembly tests: continuous/discrete builds, sensors, partitioning."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -329,6 +332,150 @@ class TestPartition:
     def test_undeclared_shared_bus_rejected(self, fixture4):
         with pytest.raises(NonAdjacentShare):
             partition(fixture4, 0.001, areas=fixture4.areas, shared_buses=())
+
+    @pytest.mark.parametrize(
+        "network, edit, extra_shared, error, named",
+        [
+            ("fixture4", lambda a: {}, (), UnassignedElement, "no areas declared"),
+            (
+                "fixture4",
+                lambda a: {**a, "west": replace(a["west"], lines=a["west"].lines + (("b2", "b3"),))},
+                (),
+                UnassignedElement,
+                "line ('b2', 'b3') assigned to both 'east' and 'west'",
+            ),
+            (
+                "fixture4",
+                lambda a: {**a, "west": replace(a["west"], dgus=("b1",))},
+                (),
+                UnassignedElement,
+                "DGU at 'b1' assigned to two areas",
+            ),
+            (
+                "fixture4",
+                lambda a: {**a, "west": replace(a["west"], loads=("b4", "b2"))},
+                (),
+                UnassignedElement,
+                "load at 'b2' assigned to two areas",
+            ),
+            (
+                "fixture4",
+                lambda a: {**a, "east": replace(a["east"], dgus=())},
+                (),
+                UnassignedElement,
+                "DGU at 'b1' assigned to no area",
+            ),
+            (
+                "fixture4",
+                lambda a: {**a, "east": replace(a["east"], loads=())},
+                (),
+                UnassignedElement,
+                "load at 'b2' assigned to no area",
+            ),
+            (
+                "example13",
+                lambda a: a,
+                ("b8",),
+                NonAdjacentShare,
+                "shared bus 'b8' appears in fewer than two areas",
+            ),
+            (
+                "fixture4",
+                lambda a: {**a, "east": replace(a["east"], lines=a["east"].lines + (("b1", "b4"),))},
+                (),
+                UnassignedElement,
+                "area 'east' references unknown lines [('b1', 'b4')]",
+            ),
+            (
+                "fixture4",
+                lambda a: {
+                    **a,
+                    "east": replace(a["east"], lines=(("b1", "b2"),)),
+                    "west": replace(a["west"], lines=(("b2", "b3"), ("b3", "b4"))),
+                },
+                (),
+                UnassignedElement,
+                "area 'west': line i_b2_b3 endpoint 'b2' not in the area bus list",
+            ),
+            (
+                "fixture4",
+                lambda a: {
+                    **a,
+                    "east": replace(a["east"], dgus=()),
+                    "west": replace(a["west"], dgus=("b1",)),
+                },
+                (),
+                UnassignedElement,
+                "area 'west': DGU bus 'b1' not in the area bus list",
+            ),
+            (
+                "fixture4",
+                lambda a: {
+                    **a,
+                    "east": replace(a["east"], loads=()),
+                    "west": replace(a["west"], loads=("b4", "b2")),
+                },
+                (),
+                UnassignedElement,
+                "area 'west': load bus 'b2' not in the area bus list",
+            ),
+            (
+                "example13",
+                lambda a: {**a, "a2": replace(a["a2"], buses=a["a2"].buses + ("b8",))},
+                ("b8",),
+                NonAdjacentShare,
+                "shared bus 'b8' is not on the boundary of area 'a2'",
+            ),
+        ],
+        ids=[
+            "no-areas",
+            "line-in-two-areas",
+            "dgu-in-two-areas",
+            "load-in-two-areas",
+            "dgu-in-no-area",
+            "load-in-no-area",
+            "shared-bus-in-one-area",
+            "unknown-line",
+            "line-endpoint-outside-area",
+            "dgu-bus-outside-area",
+            "load-bus-outside-area",
+            "shared-bus-off-the-boundary",
+        ],
+    )
+    def test_each_rejection_names_its_element(
+        self, request, network, edit, extra_shared, error, named
+    ):
+        topology = request.getfixturevalue(network)
+        areas = edit(dict(topology.areas))
+        shared = topology.shared_buses + extra_shared
+        with pytest.raises(error, match=re.escape(named)):
+            partition(topology, 0.001, areas=areas, shared_buses=shared)
+
+    def test_process_noise_per_coordinate_reaches_the_areas(self, fixture4):
+        # Unequal d and q entries: each area's Q is the network's Q block.
+        state_at = build_continuous(fixture4).state_index
+        std = 1e-2 * np.arange(1, 2 * len(state_at) + 1)
+        q = build_discrete(fixture4, 0.001, process_noise_std=std).q
+        for area in partition(fixture4, 0.001, process_noise_std=std):
+            cols = [i for sid in area.model.state_ids for i in state_at[sid]]
+            np.testing.assert_array_equal(area.model.q, q[np.ix_(cols, cols)])
+
+    def test_process_noise_naming_an_unknown_id_is_rejected(self, fixture4):
+        for build in (build_discrete, partition):
+            with pytest.raises(KeyError, match="i_nowhere"):
+                build(fixture4, 0.001, process_noise_std={"i_nowhere": 0.1})
+
+    def test_a_sensor_on_an_unknown_id_is_rejected(self, fixture4):
+        # The areas select the network's sensor rows, so the network's
+        # check on them holds for the areas too.
+        bad = SensorPlacement(
+            states=fixture4.sensors.states + (SensorChannel("i_nowhere", 0.1),),
+            inputs=fixture4.sensors.inputs,
+        )
+        topology = replace(fixture4, sensors=bad)
+        for build in (build_discrete, partition):
+            with pytest.raises(UnknownSensorTarget, match="i_nowhere"):
+                build(topology, 0.001)
 
     def test_capacitor_shared_bus_rejected(self, example13):
         areas = dict(example13.areas)

@@ -333,31 +333,22 @@ class TestSharedModel:
         estimator.gains_table.clear()
         run_scenario(topology, scenario)
         first = dict(calls)
-        assert first == {"check_joint_rank": 1, "partition": 1, "build_discrete": 3}  # whole, 2 areas
+        assert first == {"check_joint_rank": 1, "partition": 1, "build_discrete": 1}  # the whole network
         run_scenario(*bundled("fixture4_load_change", estimators=METHODS, seed=2))
         assert calls == first
         estimator.gains_table.clear()
         run_scenario(topology, replace(scenario, seed=2))
         assert calls == {name: 2 * count for name, count in first.items()}
 
-    def test_a_second_seed_matches_no_area_rows_by_label(self, monkeypatch):
-        calls = []
-        rows_by_label = pipeline._rows_by_label
-
-        def counted(*args):
-            calls.append(args)
-            return rows_by_label(*args)
-
-        monkeypatch.setattr(pipeline, "_rows_by_label", counted)
-        estimator.gains_table.clear()
-        run_scenario(*bundled("fixture4_load_change", estimators=("ddsie",), seed=1))
-        assert len(calls) == 4  # the z_x and z_u rows of 2 areas
-        run_scenario(*bundled("fixture4_load_change", estimators=("ddsie",), seed=2))
-        assert len(calls) == 4
+    def test_the_area_arrays_are_read_only(self):
         prepared = pipeline.prepare(*bundled("fixture4_load_change"))
-        assert len(prepared.area_index) == len(prepared.areas)
-        for arrays in prepared.area_index:
-            assert all(not a.flags.writeable for a in arrays)
+        assert len(prepared.areas) == 2
+        for area in prepared.areas:
+            m = area.model
+            for a in (area.z_x_rows, area.z_u_rows, area.state_columns, m.a_d, m.b_d):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.flat[0] = 0
 
     @pytest.mark.parametrize("method, zohs", [("dsie", 1), ("wls", 1), ("tse", 1), ("ddsie", 3)])
     def test_one_zoh_per_model_serves_the_filters_and_the_truth(self, monkeypatch, method, zohs):
